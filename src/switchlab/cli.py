@@ -444,6 +444,8 @@ def _gradient_checks():
         AttentionWeights,
         attention_bwd,
         attention_fwd,
+        moe_topk_ffn_bwd,
+        moe_topk_ffn_fwd,
         switch_ffn_bwd,
         switch_ffn_fwd,
     )
@@ -502,6 +504,27 @@ def _gradient_checks():
             out, cache = switch_ffn_fwd(p[0], sp, cfg, RngStream(0), "eval", frozen_plan=plan0)
             loss = float((out.y**2).sum() + out.aux_loss)
             g = switch_ffn_bwd(2.0 * out.y, cache)
+            return loss, [g["x"], g["w_router"], g["w_in"], g["w_out"]]
+
+        return grad_check(f, [x, params.w_router, params.w_in, params.w_out])
+
+    def topk_check(renormalize: bool):
+        from .switch_layer import SwitchLayerParams
+
+        # Four slots per expert for 8 tokens: half the second choices overflow.
+        cfg = RouterConfig(num_experts=3, capacity_factor=1.5, alpha=0.01)
+        x = rng.substream("top2.x").normal((8, 4)) * 0.5
+        params = init_switch_layer_params(4, 6, 3, rng.substream("top2.params"), scale=0.5)
+        _, cache0 = moe_topk_ffn_fwd(x, params, 2, cfg, RngStream(0), "eval", renormalize)
+        plans0 = cache0.plans
+
+        def f(p):
+            sp = SwitchLayerParams(p[1], p[2], p[3])
+            out, cache = moe_topk_ffn_fwd(
+                p[0], sp, 2, cfg, RngStream(0), "eval", renormalize, frozen_plans=plans0
+            )
+            loss = float((out.y**2).sum() + out.aux_loss)
+            g = moe_topk_ffn_bwd(2.0 * out.y, cache)
             return loss, [g["x"], g["w_router"], g["w_in"], g["w_out"]]
 
         return grad_check(f, [x, params.w_router, params.w_in, params.w_out])
@@ -575,6 +598,8 @@ def _gradient_checks():
         ("dense_ffn", dense_check),
         ("router_p_path", router_check),
         ("switch_ffn", switch_check),
+        ("moe_top2_ffn", lambda: topk_check(False)),
+        ("moe_top2_ffn_renormalized", lambda: topk_check(True)),
         ("switch_attention", attention_check),
         ("distill_loss", distill_check),
     ]
@@ -622,16 +647,22 @@ def _cmd_parallel_check(args) -> int:
 
     cfg = _load_config(args)
     if cfg.mesh is None:
-        cfg.mesh = make_mesh(2, 1, "expert+data", cfg.router.num_experts)
+        n = cfg.router.num_experts
+        cfg.mesh = make_mesh(n, 1, "expert+data", n)
     rng = RngStream(cfg.seed)
     tc = cfg.train
     x = rng.substream("x").normal((tc.batch_tokens, tc.d_model)).astype(np.float32)
     params = init_switch_layer_params(
         tc.d_model, tc.d_ff, cfg.router.num_experts, rng.substream("params")
     )
-    reference = switch_ffn(x, params, cfg.router, RngStream(0), "eval")
     sharded, records = run_sharded_switch_layer(x, params, cfg.mesh, cfg.router, RngStream(0))
-    diff = float(np.abs(sharded.y - reference.y).max())
+    # The simulator budgets capacity per data-parallel row, so the reference
+    # runs the single-core layer on each row's tokens separately.
+    reference = np.concatenate([
+        switch_ffn(xi, params, cfg.router, RngStream(0), "eval").y
+        for xi in np.split(x, cfg.mesh.n)
+    ])
+    diff = float(np.abs(sharded.y - reference).max())
 
     capacity = expert_capacity(tc.batch_tokens // cfg.mesh.n, cfg.router.num_experts,
                                cfg.router.capacity_factor)

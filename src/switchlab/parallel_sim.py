@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .router import LoadBalanceStats, RouterConfig, build_dispatch_combine, route
-from .switch_layer import LayerOutput, SwitchLayerParams, _expert_buffers_fwd
+from .router import LoadBalanceStats, RouterConfig, route
+from .switch_layer import LayerOutput, SwitchLayerParams, _expert_buffers_fwd, _Slots
 from .tensor_core import InvalidArgumentError, RngStream, relu
 
 __all__ = [
@@ -236,11 +236,13 @@ def run_sharded_switch_layer(
 ) -> tuple[LayerOutput, list[CommRecord]]:
     """Run the switch FFN over the mesh and return output plus comm ledger.
 
-    Pipeline per data-parallel row: local routing of the row's tokens,
-    dispatch gather into [E, C, d] buffers, all-to-all to the expert owners
-    (expert strategies), per-expert FFN over the column's d_ff slice,
-    all-to-all back, gate-weighted combine, and an all-reduce of the
-    per-column partial outputs (m > 1). Evaluation semantics: no dropout, no
+    Pipeline per data-parallel row: local routing of the row's tokens, an
+    index gather of each routed token into its slot of the row's [E, C, d]
+    buffer, all-to-all to the expert owners (expert strategies), per-expert
+    FFN over the column's d_ff slice, all-to-all back, a gate-weighted index
+    scatter of the slots onto their tokens, and an all-reduce of the
+    per-column partial outputs (m > 1). Gather and scatter use the same slot
+    map as the single-core layer. Evaluation semantics: no dropout, no
     exploration noise. Capacity is budgeted per row, as each core routes
     blind to the others; the aux loss is the mean of the per-row losses.
     """
@@ -270,17 +272,14 @@ def run_sharded_switch_layer(
     row_inputs = np.split(x, n)
     plans = []
     stats_rows = []
-    dispatches = []
-    combines = []
+    row_slots = []
     for i, xi in enumerate(row_inputs):
         plan, stats = route(
             xi, params.w_router, router_config, rng.substream(f"core{i}/route"), "eval"
         )
-        d_t, c_t = build_dispatch_combine(plan, router_config.selective_precision)
         plans.append(plan)
         stats_rows.append(stats)
-        dispatches.append(d_t)
-        combines.append(c_t)
+        row_slots.append(_Slots.from_plan(plan, router_config.selective_precision))
     capacity = plans[0].capacity
 
     if m == 1 and not mesh.expert_sharded:
@@ -290,21 +289,16 @@ def run_sharded_switch_layer(
         row_outputs = []
         for i, xi in enumerate(row_inputs):
             y_i, _ = _expert_buffers_fwd(
-                xi, dispatches[i], combines[i], params.w_in, params.w_out,
-                0.0, None, "eval",
+                xi, row_slots[i], params.w_in, params.w_out, 0.0, None, "eval",
             )
             if plans[i].dropped.any():
-                y_i = y_i.copy()
                 y_i[plans[i].dropped] = xi[plans[i].dropped]
             row_outputs.append(y_i)
         y = np.concatenate(row_outputs)
         return _assemble_output(y, plans, stats_rows), records
 
     # Dispatch gather on every row: [E, C, d] buffers.
-    row_bufs = [
-        np.einsum("td,tec->ecd", xi, disp.astype(xi.dtype))
-        for xi, disp in zip(row_inputs, dispatches)
-    ]
+    row_bufs = [slots.gather(xi) for xi, slots in zip(row_inputs, row_slots)]
 
     if mesh.expert_sharded and n > 1:
         # Send slot buffers to the expert owners: row e now holds [n, C, d].
@@ -354,9 +348,7 @@ def run_sharded_switch_layer(
 
     row_outputs = []
     for i, xi in enumerate(row_inputs):
-        y_parts = [
-            np.einsum("ecd,tec->td", row_partials[i][j], combines[i]) for j in range(m)
-        ]
+        y_parts = [row_slots[i].scatter(row_partials[i][j], gated=True) for j in range(m)]
         y_i = _tree_sum(y_parts)
         if plans[i].dropped.any():
             y_i[plans[i].dropped] = xi[plans[i].dropped]

@@ -44,6 +44,7 @@ __all__ = [
     "load_balance_loss",
     "load_balance_loss_backward",
     "ntlb_reroute",
+    "fill_slots",
     "build_dispatch_combine",
 ]
 
@@ -59,9 +60,10 @@ class RouterConfig:
     argmax on unperturbed inputs. ``ntlb_stages`` enables no-token-left-behind
     rerouting (0 = plain top-1 routing). ``selective_precision`` emulates
     bfloat16 transport: router inputs are bf16-quantized on entry, the
-    softmax runs at full float32, and the combine tensor is re-quantized to
-    bfloat16 on the way out. ``jitter_on_logits`` switches the jitter policy
-    to the additive-on-logits variant, kept for comparison.
+    softmax runs at full float32, and the gates that weight the expert
+    outputs are re-quantized to bfloat16 on the way out.
+    ``jitter_on_logits`` switches the jitter policy to the additive-on-logits
+    variant, kept for comparison.
     """
 
     num_experts: int
@@ -242,8 +244,11 @@ def route(
         # Emulate bfloat16 transport into the router; the math that follows
         # stays at full float32 precision.
         router_in = quantize_bf16(router_in)
+    _check_finite_rows(router_in, "inputs")
 
-    logits = router_in @ w
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Overflow, or non-finite weights, surface as a NumericError below.
+        logits = router_in @ w
     if (
         mode == "train"
         and config.policy == "input_jitter"
@@ -252,10 +257,8 @@ def route(
     ):
         logits = logits + rng.uniform(logits.shape, 1.0 - config.jitter_eps, 1.0 + config.jitter_eps)
 
-    finite_rows = np.isfinite(logits).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.argmin(finite_rows))
-        raise NumericError(f"route: non-finite logits for token {bad}")
+    # Finite inputs can still overflow to non-finite logits.
+    _check_finite_rows(logits, "logits")
 
     probs = softmax(logits, axis=-1)
 
@@ -270,12 +273,10 @@ def route(
         else:
             expert_index = np.argmax(probs, axis=1)  # ties go to the lowest index
         capacity = expert_capacity(num_tokens, num_experts, config.capacity_factor)
-        intent = one_hot(expert_index, num_experts)
-        # k-th token sent to an expert lands in slot k-1; slots beyond the
-        # budget mean the token is dropped.
-        arrival_rank = np.cumsum(intent, axis=0)[np.arange(num_tokens), expert_index]
-        dropped = arrival_rank > capacity
-        position = np.where(dropped, -1, arrival_rank - 1).astype(np.int64)
+        position, _ = fill_slots(
+            expert_index, np.zeros(num_experts, dtype=np.int64), capacity
+        )
+        dropped = position < 0
 
     gate = probs[np.arange(num_tokens), expert_index]
 
@@ -298,6 +299,40 @@ def route(
         plan = ntlb_reroute(plan, config.ntlb_stages)
 
     return plan, stats
+
+
+def _check_finite_rows(a: np.ndarray, what: str) -> None:
+    finite_rows = np.isfinite(a).all(axis=1)
+    if not finite_rows.all():
+        bad = int(np.argmin(finite_rows))
+        raise NumericError(f"route: non-finite {what} for token {bad}")
+
+
+def fill_slots(
+    choices: np.ndarray, counts: np.ndarray, capacity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Offer tokens, in token order, to the experts in ``choices``.
+
+    Expert e already holds ``counts[e]`` tokens, so among the tokens choosing
+    e the first ``capacity - counts[e]`` land, in slots ``counts[e]``,
+    ``counts[e] + 1``, ...; the rest are turned away. Returns each token's
+    slot (-1 where turned away) and the per-expert counts afterwards.
+    """
+    choices = np.asarray(choices, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    n = counts.shape[0]
+    # Rank of each token among the tokens choosing the same expert: a stable
+    # sort groups them by expert in token order, and each group's rank is
+    # the offset from where its run starts.
+    order = np.argsort(choices, kind="stable")
+    per_expert = np.bincount(choices, minlength=n)
+    run_start = np.cumsum(per_expert) - per_expert
+    rank = np.empty_like(choices)
+    rank[order] = np.arange(choices.shape[0]) - run_start[choices[order]]
+    position = counts[choices] + rank
+    landed = position < capacity
+    position[~landed] = -1
+    return position, counts + np.bincount(choices[landed], minlength=n)
 
 
 def _balance_terms(
@@ -390,29 +425,32 @@ def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
     )
 
     for k in range(1, stages + 1):
-        if not out.dropped.any():
+        waiting = np.flatnonzero(out.dropped)
+        if waiting.size == 0:
             break
-        for t in np.flatnonzero(out.dropped):
-            candidate = int(order[t, k])
-            if counts[candidate] < out.capacity:
-                out.expert_index[t] = candidate
-                out.position_in_expert[t] = counts[candidate]
-                out.gate[t] = out.router_probs[t, candidate]
-                out.dropped[t] = False
-                counts[candidate] += 1
+        candidate = order[waiting, k]
+        position, counts = fill_slots(candidate, counts, out.capacity)
+        landed = position >= 0
+        t, e = waiting[landed], candidate[landed]
+        out.expert_index[t] = e
+        out.position_in_expert[t] = position[landed]
+        out.gate[t] = out.router_probs[t, e]
+        out.dropped[t] = False
     return out
 
 
 def build_dispatch_combine(
     plan: DispatchPlan, selective_precision: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a plan into routing tensors of shape [tokens, experts, capacity].
+    """Expand a plan into one-hot routing tensors of shape [tokens, experts, capacity].
 
-    ``combine[t, e, c]`` holds the token's gate value exactly where token t
-    occupies slot c of expert e and zero elsewhere; ``dispatch`` is its
-    boolean support. With selective precision on, combine is
-    bfloat16-quantized after construction, mirroring the cast the transport
-    layer would apply.
+    Reference oracle, not on the hot path: the expert layers gather and
+    scatter by index from the plan itself, and tests compare them against
+    this dense (GShard-style) form. ``combine[t, e, c]`` holds the token's
+    gate value exactly where token t occupies slot c of expert e and zero
+    elsewhere; ``dispatch`` is its boolean support. With selective precision
+    on, combine is bfloat16-quantized after construction, mirroring the cast
+    the transport layer would apply.
     """
     num_tokens, n = plan.router_probs.shape
     combine = np.zeros((num_tokens, n, plan.capacity), dtype=plan.gate.dtype)

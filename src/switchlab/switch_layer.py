@@ -24,14 +24,15 @@ from .router import (
     DispatchPlan,
     LoadBalanceStats,
     RouterConfig,
-    build_dispatch_combine,
     expert_capacity,
+    fill_slots,
     load_balance_loss_backward,
     route,
 )
 from .tensor_core import (
     InvalidArgumentError,
     RngStream,
+    quantize_bf16,
     relu,
     relu_backward,
     softmax,
@@ -271,10 +272,60 @@ def dense_ffn_bwd(
 
 
 @dataclass
+class _Slots:
+    """Where a plan puts each token: row ``token[i]`` of the input sits in
+    slot ``slot[i]`` of expert ``expert[i]``, and its output is scaled by
+    ``gate[i]``.
+
+    Only kept tokens with a nonzero gate occupy a slot. With selective
+    precision the gate is bfloat16-quantized first, so a kept token whose
+    gate rounds to zero leaves its slot empty, exactly as in the one-hot
+    form of ``build_dispatch_combine``.
+    """
+
+    token: np.ndarray  # [K] int
+    expert: np.ndarray  # [K] int
+    slot: np.ndarray  # [K] int
+    gate: np.ndarray  # [K] float
+    num_tokens: int
+    num_experts: int
+    capacity: int
+
+    @classmethod
+    def from_plan(cls, plan: DispatchPlan, selective_precision: bool) -> "_Slots":
+        token = np.flatnonzero(~plan.dropped)
+        gate = plan.gate[token]
+        if selective_precision:
+            gate = quantize_bf16(gate)
+        live = gate != 0
+        token, gate = token[live], gate[live]
+        return cls(
+            token, plan.expert_index[token], plan.position_in_expert[token], gate,
+            plan.num_tokens, plan.num_experts, plan.capacity,
+        )
+
+    def gather(self, x: np.ndarray, gated: bool = False) -> np.ndarray:
+        """[T, d] rows, optionally gate-scaled, into a zero-padded [E, C, d] buffer."""
+        rows = x[self.token]
+        if gated:
+            rows = rows * self.gate[:, None]
+        buf = np.zeros((self.num_experts, self.capacity, x.shape[1]), dtype=rows.dtype)
+        buf[self.expert, self.slot] = rows
+        return buf
+
+    def scatter(self, buf: np.ndarray, gated: bool = False) -> np.ndarray:
+        """[E, C, d] slots, optionally gate-scaled, back onto their [T, d] rows; zero elsewhere."""
+        rows = buf[self.expert, self.slot]
+        if gated:
+            rows = rows * self.gate[:, None]
+        out = np.zeros((self.num_tokens, buf.shape[2]), dtype=rows.dtype)
+        out[self.token] = rows
+        return out
+
+
+@dataclass
 class _ExpertBufferCache:
-    x: np.ndarray
-    dispatch: np.ndarray  # float mask [T, E, C]
-    combine: np.ndarray  # [T, E, C]
+    slots: _Slots
     expert_in: np.ndarray  # [E, C, d]
     pre_relu: np.ndarray | None  # [E, C, f] (None for linear experts)
     activated: np.ndarray | None
@@ -285,10 +336,22 @@ class _ExpertBufferCache:
     linear: bool
 
 
+def _per_expert(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[e] @ b[e]`` for every expert e, each as its own 2-D product."""
+    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.result_type(a, b))
+    for e in range(a.shape[0]):
+        np.matmul(a[e], b[e], out=out[e])
+    return out
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose every expert's matrix (a view)."""
+    return a.transpose(0, 2, 1)
+
+
 def _expert_buffers_fwd(
     x: np.ndarray,
-    dispatch: np.ndarray,
-    combine: np.ndarray,
+    slots: _Slots,
     w_in: np.ndarray,
     w_out: np.ndarray | None,
     expert_dropout: float,
@@ -297,25 +360,24 @@ def _expert_buffers_fwd(
 ) -> tuple[np.ndarray, _ExpertBufferCache]:
     """Gather tokens into expert slots, run the experts, scatter gate-scaled outputs.
 
-    The gather/scatter sums touch exactly one nonzero per slot, so they are
-    exact in float arithmetic; expert matmuls run per expert as plain 2-D
-    products, which keeps a single-expert layer bit-identical to the dense
+    The gather and scatter move rows by index, so the cost is linear in the
+    token count. Expert matmuls run per expert as plain 2-D products over the
+    padded [C, d] buffers, which keeps the arithmetic identical to the
+    one-hot einsum form and a single-expert layer bit-identical to the dense
     baseline.
     """
-    disp = dispatch.astype(x.dtype)
-    expert_in = np.einsum("td,tec->ecd", x, disp)
-    num_experts = w_in.shape[0]
+    expert_in = slots.gather(x)
     if w_out is None:  # linear experts (attention variant)
-        expert_out = np.stack([expert_in[e] @ w_in[e] for e in range(num_experts)])
+        expert_out = _per_expert(expert_in, w_in)
         pre_relu = activated = drop_scale = None
     else:
-        pre_relu = np.stack([expert_in[e] @ w_in[e] for e in range(num_experts)])
+        pre_relu = _per_expert(expert_in, w_in)
         r = relu(pre_relu)
         activated, drop_scale = _dropout(r, expert_dropout, rng, mode)
-        expert_out = np.stack([activated[e] @ w_out[e] for e in range(num_experts)])
-    y = np.einsum("ecd,tec->td", expert_out, combine)
+        expert_out = _per_expert(activated, w_out)
+    y = slots.scatter(expert_out, gated=True)
     cache = _ExpertBufferCache(
-        x, disp, combine, expert_in, pre_relu, activated, drop_scale,
+        slots, expert_in, pre_relu, activated, drop_scale,
         expert_out, w_in, w_out, w_out is None,
     )
     return y, cache
@@ -323,33 +385,29 @@ def _expert_buffers_fwd(
 
 def _expert_buffers_bwd(
     grad_y: np.ndarray, cache: _ExpertBufferCache
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Returns (dx, d_combine [T,E,C], dw_in, dw_out, d_expert_out)."""
-    num_experts = cache.w_in.shape[0]
-    d_expert_out = np.einsum("td,tec->ecd", grad_y, cache.combine)
-    d_combine = np.einsum("td,ecd->tec", grad_y, cache.expert_out)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Returns (dx, d_gate [K], dw_in, dw_out); d_gate follows ``cache.slots``."""
+    slots = cache.slots
+    d_expert_out = slots.gather(grad_y, gated=True)
+    # einsum reduces over d the way the one-hot d_combine einsum did, which
+    # keeps the gate gradient bit-identical to that form.
+    d_gate = np.einsum(
+        "kd,kd->k", grad_y[slots.token], cache.expert_out[slots.expert, slots.slot]
+    )
     if cache.linear:
-        dw_in = np.stack(
-            [cache.expert_in[e].T @ d_expert_out[e] for e in range(num_experts)]
-        )
-        d_expert_in = np.stack(
-            [d_expert_out[e] @ cache.w_in[e].T for e in range(num_experts)]
-        )
+        dw_in = _per_expert(_t(cache.expert_in), d_expert_out)
+        d_expert_in = _per_expert(d_expert_out, _t(cache.w_in))
         dw_out = None
     else:
-        dw_out = np.stack(
-            [cache.activated[e].T @ d_expert_out[e] for e in range(num_experts)]
-        )
-        d_act = np.stack(
-            [d_expert_out[e] @ cache.w_out[e].T for e in range(num_experts)]
-        )
+        dw_out = _per_expert(_t(cache.activated), d_expert_out)
+        d_act = _per_expert(d_expert_out, _t(cache.w_out))
         if cache.drop_scale is not None:
             d_act = d_act * cache.drop_scale
         dh = relu_backward(d_act, cache.pre_relu)
-        dw_in = np.stack([cache.expert_in[e].T @ dh[e] for e in range(num_experts)])
-        d_expert_in = np.stack([dh[e] @ cache.w_in[e].T for e in range(num_experts)])
-    dx = np.einsum("ecd,tec->td", d_expert_in, cache.dispatch)
-    return dx, d_combine, dw_in, dw_out, d_expert_out
+        dw_in = _per_expert(_t(cache.expert_in), dh)
+        d_expert_in = _per_expert(dh, _t(cache.w_in))
+    dx = slots.scatter(d_expert_in)
+    return dx, d_gate, dw_in, dw_out
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +437,9 @@ def switch_ffn_fwd(
         x, params.w_router, router_config, rng.substream("route"), mode,
         frozen_assignment=frozen_plan,
     )
-    dispatch, combine = build_dispatch_combine(plan, router_config.selective_precision)
     y, buffers = _expert_buffers_fwd(
-        x, dispatch, combine, params.w_in, params.w_out,
+        x, _Slots.from_plan(plan, router_config.selective_precision),
+        params.w_in, params.w_out,
         params.expert_dropout_rate, rng.substream("expert_dropout"), mode,
     )
     # Overflowed tokens bypass the layer through the residual path.
@@ -414,21 +472,18 @@ def switch_ffn_bwd(
     flags and f-vector are constants of the backward pass.
     """
     plan, buffers = cache.plan, cache.buffers
-    dx, d_combine, dw_in, dw_out, _ = _expert_buffers_bwd(grad_y, buffers)
+    dx, d_gate, dw_in, dw_out = _expert_buffers_bwd(grad_y, buffers)
 
     if plan.dropped.any():
-        # Expert-path contribution is zero for dropped rows (combine is zero
-        # there); the passthrough writes grad_y straight onto x.
-        dx = dx.copy()
+        # Expert-path contribution is zero for dropped rows (they hold no
+        # slot); the passthrough writes grad_y straight onto x.
         dx[plan.dropped] += grad_y[plan.dropped]
 
     d_probs = np.zeros_like(plan.router_probs)
-    kept = np.flatnonzero(~plan.dropped)
-    # Gate path: combine[t, e_t, c_t] == probs[t, e_t] (straight-through the
-    # bf16 quantization when selective precision is on).
-    d_probs[kept, plan.expert_index[kept]] = d_combine[
-        kept, plan.expert_index[kept], plan.position_in_expert[kept]
-    ]
+    slots = buffers.slots
+    # Gate path: the slot's gate is probs[t, e_t] (straight-through the bf16
+    # quantization when selective precision is on).
+    d_probs[slots.token, slots.expert] = d_gate
     if aux_weight != 0.0 and cache.alpha != 0.0:
         num_tokens, n = plan.router_probs.shape
         d_probs += aux_weight * cache.alpha * n * cache.stats.f / num_tokens
@@ -468,51 +523,60 @@ def moe_topk_ffn_fwd(
     rng: RngStream,
     mode: str = "train",
     renormalize: bool = False,
+    frozen_plans: list[DispatchPlan] | None = None,
 ) -> tuple[LayerOutput, MoeCache]:
+    """Top-k forward pass plus its cache.
+
+    ``frozen_plans`` (a previous cache's ``plans``) re-uses every rank's
+    expert choice, drop flags and slot positions while gates are recomputed
+    from the current inputs and weights, as ``switch_ffn_fwd``'s
+    ``frozen_plan`` does for one rank.
+    """
     x = np.asarray(x)
     n = router_config.num_experts
     if k > n:
         raise InvalidArgumentError(f"moe_topk_ffn: k={k} exceeds num_experts={n}")
     if k < 1:
         raise InvalidArgumentError(f"moe_topk_ffn: k must be >= 1, got {k}")
+    if frozen_plans is not None and len(frozen_plans) != k:
+        raise InvalidArgumentError(
+            f"moe_topk_ffn: {len(frozen_plans)} frozen plans for k={k}"
+        )
 
     # Rank-0 selection reuses the switch routing path verbatim so that k=1
     # reproduces switch_ffn bit-for-bit, including rng consumption.
     plan0, stats = route(
         x, params.w_router, router_config, rng.substream("route"), mode,
+        frozen_assignment=None if frozen_plans is None else frozen_plans[0],
     )
     num_tokens = x.shape[0]
     capacity = plan0.capacity
     probs = plan0.router_probs
+    rows = np.arange(num_tokens)
 
-    # Remaining ranks take the next-best experts in stable probability order,
-    # skipping whatever earlier ranks already chose for that token.
-    order = np.argsort(-probs, axis=1, kind="stable")
-    choices = np.empty((num_tokens, k), dtype=np.int64)
-    choices[:, 0] = plan0.expert_index
-    for t in range(num_tokens):
-        nxt = [e for e in order[t] if e != choices[t, 0]]
-        choices[t, 1:] = nxt[: k - 1]
-
-    # Fill capacity rank-major: all first choices (already budgeted inside
-    # route), then second choices into leftover slots, and so on.
-    counts = np.bincount(plan0.expert_index[~plan0.dropped], minlength=n)
     plans = [plan0]
+    if k > 1 and frozen_plans is None:
+        # Remaining ranks take the next-best experts in stable probability
+        # order, skipping the rank-0 choice (which NTLB or sampling may have
+        # moved off the top-probability expert).
+        order = np.argsort(-probs, axis=1, kind="stable")
+        rest = order[order != plan0.expert_index[:, None]].reshape(num_tokens, n - 1)
+        # Fill capacity rank-major: all first choices (already budgeted
+        # inside route), then second choices into leftover slots, and so on.
+        counts = np.bincount(plan0.expert_index[~plan0.dropped], minlength=n)
     for r in range(1, k):
-        position = np.full(num_tokens, -1, dtype=np.int64)
-        dropped = np.ones(num_tokens, dtype=bool)
-        for t in range(num_tokens):
-            e = choices[t, r]
-            if counts[e] < capacity:
-                position[t] = counts[e]
-                dropped[t] = False
-                counts[e] += 1
+        if frozen_plans is None:
+            choice = rest[:, r - 1].copy()
+            position, counts = fill_slots(choice, counts, capacity)
+        else:
+            choice = frozen_plans[r].expert_index
+            position = frozen_plans[r].position_in_expert
         plans.append(
             DispatchPlan(
-                expert_index=choices[:, r].copy(),
-                gate=probs[np.arange(num_tokens), choices[:, r]],
+                expert_index=choice,
+                gate=probs[rows, choice],
                 position_in_expert=position,
-                dropped=dropped,
+                dropped=position < 0,
                 capacity=capacity,
                 router_probs=probs,
                 router_inputs=plan0.router_inputs,
@@ -531,10 +595,10 @@ def moe_topk_ffn_fwd(
     y = None
     buffers = []
     for r, p in enumerate(plans):
-        dispatch, combine = build_dispatch_combine(p, router_config.selective_precision)
         label = "expert_dropout" if r == 0 else f"expert_dropout_rank{r}"
         y_r, buf = _expert_buffers_fwd(
-            x, dispatch, combine, params.w_in, params.w_out,
+            x, _Slots.from_plan(p, router_config.selective_precision),
+            params.w_in, params.w_out,
             params.expert_dropout_rate, rng.substream(label), mode,
         )
         buffers.append(buf)
@@ -579,8 +643,8 @@ def moe_topk_ffn_bwd(
     num_tokens, n = plans[0].router_probs.shape
     probs = plans[0].router_probs
 
-    dx = np.zeros_like(buffers[0].x)
-    dw_in = np.zeros_like(cache.buffers[0].w_in)
+    dx = np.zeros_like(grad_y)
+    dw_in = np.zeros_like(buffers[0].w_in)
     dw_out = None if buffers[0].linear else np.zeros_like(buffers[0].w_out)
     d_probs = np.zeros_like(probs)
 
@@ -590,14 +654,13 @@ def moe_topk_ffn_bwd(
         g[cache.all_dropped] = 0.0
 
     d_gates = np.zeros((num_tokens, len(plans)))
-    for r, (p, buf) in enumerate(zip(plans, buffers)):
-        dx_r, d_combine, dw_in_r, dw_out_r, _ = _expert_buffers_bwd(g, buf)
+    for r, buf in enumerate(buffers):
+        dx_r, d_gate, dw_in_r, dw_out_r = _expert_buffers_bwd(g, buf)
         dx += dx_r
         dw_in += dw_in_r
         if dw_out is not None:
             dw_out += dw_out_r
-        kept = np.flatnonzero(~p.dropped)
-        d_gates[kept, r] = d_combine[kept, p.expert_index[kept], p.position_in_expert[kept]]
+        d_gates[buf.slots.token, r] = d_gate
 
     if cache.renormalize:
         # gate_r = raw_r / sum(raw); raw_r = probs[t, choice_r].

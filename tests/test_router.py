@@ -217,6 +217,12 @@ class TestRoute:
         with pytest.raises(NumericError, match="token 1"):
             route(x, np.eye(2, dtype=np.float32), RouterConfig(num_experts=2), RngStream(0), "eval")
 
+    def test_overflowing_logits_name_token(self):
+        x = np.ones((3, 2), dtype=np.float32)
+        x[2] = 3e38  # finite, but the logits overflow
+        with pytest.raises(NumericError, match="logits for token 2"):
+            route(x, 10 * np.eye(2, dtype=np.float32), RouterConfig(num_experts=2), RngStream(0), "eval")
+
     def test_sample_policy_samples_in_train_argmax_in_eval(self):
         x = np.tile(np.array([[0.1, 0.0]], dtype=np.float32), (400, 1))
         w = np.eye(2, dtype=np.float32)
