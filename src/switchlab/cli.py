@@ -60,6 +60,7 @@ __all__ = [
 METRICS_SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"SWCHKPT"
 CHECKPOINT_VERSION = 1
+_HEADER_KEYS = {"step", "config", "rng", "tensors"}
 
 
 class UnsupportedVersionError(RuntimeError):
@@ -245,7 +246,14 @@ def save_checkpoint(
     config: ExperimentConfig,
     path: str,
 ) -> None:
-    """Write magic, version byte, length-prefixed JSON header, then raw payloads."""
+    """Write magic, version byte, length-prefixed JSON header, then raw payloads.
+
+    The bytes go to a temporary file beside ``path`` that is then renamed
+    over it, so a reader sees either the previous checkpoint or the
+    complete new one, and a writer that dies mid-write leaves the previous
+    one in place. The file is not fsynced, so a power loss may still lose
+    the latest save.
+    """
     tensors = _collect_tensors(model, opt_state)
     records = []
     offset = 0
@@ -273,13 +281,20 @@ def save_checkpoint(
         "tensors": records,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for raw in payloads:
-            fh.write(raw)
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(bytes([CHECKPOINT_VERSION]))
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for raw in payloads:
+                fh.write(raw)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -289,6 +304,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CorruptCheckpointError("missing checkpoint magic at byte offset 0")
     pos = len(CHECKPOINT_MAGIC)
+    if len(blob) <= pos:
+        raise CorruptCheckpointError(f"truncated version byte at byte offset {pos}")
     version = blob[pos]
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(
@@ -301,7 +318,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     pos += 8
     if len(blob) < pos + header_len:
         raise CorruptCheckpointError(f"truncated header at byte offset {len(blob)}")
-    header = json.loads(blob[pos : pos + header_len].decode())
+    try:
+        header = json.loads(blob[pos : pos + header_len].decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CorruptCheckpointError(f"undecodable header at byte offset {pos}: {exc}") from exc
+    if not isinstance(header, dict) or not _HEADER_KEYS <= header.keys():
+        raise CorruptCheckpointError(
+            f"header at byte offset {pos} lacks one of {sorted(_HEADER_KEYS)}"
+        )
     pos += header_len
 
     tensors: dict[str, Tensor] = {}
@@ -529,59 +553,47 @@ def _gradient_checks():
 
         return grad_check(f, [x, params.w_router, params.w_in, params.w_out])
 
-    def attention_check():
+    def attention_check(routed_q: bool):
+        from .switch_layer import SwitchLayerParams
+
         cfg = RouterConfig(num_experts=2, capacity_factor=2.0, alpha=0.01)
-        acfg = AttentionConfig(num_heads=1, expert_form="linear", router=cfg)
-        x = rng.substream("attn.x").normal((1, 4, 4)) * 0.5
-        q_params = init_switch_layer_params(
-            4, 4, 2, rng.substream("attn.q"), scale=0.5, expert_form="linear"
-        )
+        if routed_q:
+            acfg = AttentionConfig(num_heads=1, expert_form="linear", router=cfg)
+            x = rng.substream("attn.x").normal((1, 4, 4)) * 0.5
+            q_params = init_switch_layer_params(
+                4, 4, 2, rng.substream("attn.q"), scale=0.5, expert_form="linear"
+            )
+            w_q = None
+            q_weights = [q_params.w_router, q_params.w_in]
+            q_names = ["q.w_router", "q.w_in"]
+        else:
+            # Two heads of width 2 exercise the head split and merge.
+            acfg = AttentionConfig(num_heads=2)
+            x = rng.substream("attn2.x").normal((2, 3, 4)) * 0.5
+            q_params = None
+            w_q = rng.substream("attn2.wq").normal((4, 4)) * 0.4
+            q_weights = [w_q]
+            q_names = ["w_q"]
         w = AttentionWeights(
             w_k=rng.substream("attn.wk").normal((4, 4)) * 0.4,
             w_v=rng.substream("attn.wv").normal((4, 4)) * 0.4,
             w_o=rng.substream("attn.wo").normal((4, 4)) * 0.4,
+            w_q=w_q,
         )
-        out0, cache0 = attention_fwd(x, w, acfg, RngStream(0), "eval", q_params=q_params)
-        plan0 = cache0.q_cache.plan
+        _, cache0 = attention_fwd(x, w, acfg, RngStream(0), "eval", q_params=q_params)
+        plan0 = cache0.q_cache.plan if routed_q else None
 
         def f(p):
-            from .switch_layer import SwitchLayerParams
+            weights = AttentionWeights(p[1], p[2], p[3], None if routed_q else p[4])
+            qp = SwitchLayerParams(p[4], p[5], None) if routed_q else None
+            out, cache = attention_fwd(
+                p[0], weights, acfg, RngStream(0), "eval", q_params=qp, frozen_q_plan=plan0
+            )
+            loss = float((out.y**2).sum() + out.aux_loss)
+            g = attention_bwd(2.0 * out.y, cache)
+            return loss, [g[name] for name in ["x", "w_k", "w_v", "w_o", *q_names]]
 
-            weights = AttentionWeights(w_k=p[1], w_v=p[2], w_o=p[3])
-            qp = SwitchLayerParams(p[4], p[5], None)
-            flatx = p[0].reshape(-1, 4)
-            q_out, q_cache = switch_ffn_fwd(flatx, qp, cfg, RngStream(0), "eval", frozen_plan=plan0)
-            # rebuild attention on top of the frozen-plan query projection
-            import numpy as _np
-
-            q = q_out.y.reshape(p[0].shape)
-            k = p[0] @ p[1]
-            v = p[0] @ p[2]
-            from .tensor_core import softmax as _softmax, softmax_backward as _softmax_backward
-
-            scale = 1.0 / _np.sqrt(4)
-            scores = _np.einsum("bqd,bkd->bqk", q, k) * scale
-            attn = _softmax(scores, axis=-1)
-            ctx = _np.einsum("bqk,bkd->bqd", attn, v)
-            y = ctx @ p[3]
-            loss = float((y**2).sum() + q_out.aux_loss)
-
-            gy = 2.0 * y
-            dw_o = ctx.reshape(-1, 4).T @ gy.reshape(-1, 4)
-            d_ctx = gy @ p[3].T
-            d_attn = _np.einsum("bqd,bkd->bqk", d_ctx, v)
-            dv = _np.einsum("bqk,bqd->bkd", attn, d_ctx)
-            d_scores = _softmax_backward(d_attn, attn, axis=-1) * scale
-            dq = _np.einsum("bqk,bkd->bqd", d_scores, k)
-            dk = _np.einsum("bqk,bqd->bkd", d_scores, q)
-            dw_k = p[0].reshape(-1, 4).T @ dk.reshape(-1, 4)
-            dw_v = p[0].reshape(-1, 4).T @ dv.reshape(-1, 4)
-            dx = dk @ p[1].T + dv @ p[2].T
-            qg = switch_ffn_bwd(dq.reshape(-1, 4), q_cache)
-            dx = dx + qg["x"].reshape(p[0].shape)
-            return loss, [dx, dw_k, dw_v, dw_o, qg["w_router"], qg["w_in"]]
-
-        return grad_check(f, [x, w.w_k, w.w_v, w.w_o, q_params.w_router, q_params.w_in])
+        return grad_check(f, [x, w.w_k, w.w_v, w.w_o, *q_weights])
 
     def distill_check():
         s = rng.substream("distill.s").normal((5, 6))
@@ -600,7 +612,8 @@ def _gradient_checks():
         ("switch_ffn", switch_check),
         ("moe_top2_ffn", lambda: topk_check(False)),
         ("moe_top2_ffn_renormalized", lambda: topk_check(True)),
-        ("switch_attention", attention_check),
+        ("switch_attention", lambda: attention_check(True)),
+        ("dense_attention_2heads", lambda: attention_check(False)),
         ("distill_loss", distill_check),
     ]
 

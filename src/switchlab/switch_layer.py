@@ -662,17 +662,19 @@ def moe_topk_ffn_bwd(
             dw_out += dw_out_r
         d_gates[buf.slots.token, r] = d_gate
 
+    # Each rank indexes every row once, so one fancy-index += per rank
+    # accumulates without collisions.
+    rows = np.arange(num_tokens)
     if cache.renormalize:
         # gate_r = raw_r / sum(raw); raw_r = probs[t, choice_r].
         s = cache.gate_norm
         raw = cache.raw_gates
         weighted = (d_gates * raw).sum(axis=1)  # sum_r d_gate_r * raw_r
         for r, p in enumerate(plans):
-            d_raw = d_gates[:, r] / s - weighted / (s * s)
-            np.add.at(d_probs, (np.arange(num_tokens), p.expert_index), d_raw)
+            d_probs[rows, p.expert_index] += d_gates[:, r] / s - weighted / (s * s)
     else:
         for r, p in enumerate(plans):
-            np.add.at(d_probs, (np.arange(num_tokens), p.expert_index), d_gates[:, r])
+            d_probs[rows, p.expert_index] += d_gates[:, r]
 
     if cache.all_dropped.any():
         dx[cache.all_dropped] += grad_y[cache.all_dropped]
@@ -725,7 +727,14 @@ def attention_fwd(
     rng: RngStream,
     mode: str = "train",
     q_params: SwitchLayerParams | None = None,
+    frozen_q_plan: DispatchPlan | None = None,
 ) -> tuple[LayerOutput, AttentionCache]:
+    """Multi-head attention forward pass plus its cache.
+
+    ``frozen_q_plan`` (a previous cache's ``q_cache.plan``) holds the routed
+    query projection's expert choice fixed, as ``switch_ffn_fwd``'s
+    ``frozen_plan`` does; it is ignored for dense queries.
+    """
     x = np.asarray(x)
     if x.ndim != 3:
         raise InvalidArgumentError(f"attention expects [batch, seq, d_model], got {x.shape}")
@@ -750,6 +759,7 @@ def attention_fwd(
         flat = x.reshape(b * l, d)
         q_out, q_cache = switch_ffn_fwd(
             flat, q_params, config.router, rng.substream("q_route"), mode,
+            frozen_plan=frozen_q_plan,
         )
         q = q_out.y.reshape(b, l, d)
         aux = q_out.aux_loss
@@ -762,9 +772,9 @@ def attention_fwd(
 
     qh, kh, vh = (_split_heads(t, config.num_heads) for t in (q, k, v))
     scale = 1.0 / np.sqrt(d // config.num_heads)
-    scores = np.einsum("bhqd,bhkd->bhqk", qh, kh) * scale
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     attn = softmax(scores, axis=-1)
-    ctx = _merge_heads(np.einsum("bhqk,bhkd->bhqd", attn, vh))
+    ctx = _merge_heads(attn @ vh)
     y = ctx @ weights.w_o
 
     out = LayerOutput(y, aux, stats, dropped_fraction)
@@ -791,11 +801,11 @@ def attention_bwd(
     qh = _split_heads(cache.q, h)
     kh = _split_heads(cache.k, h)
 
-    d_attn = np.einsum("bhqd,bhkd->bhqk", d_ctx_h, vh)
-    dvh = np.einsum("bhqk,bhqd->bhkd", cache.attn, d_ctx_h)
+    d_attn = d_ctx_h @ vh.swapaxes(-1, -2)
+    dvh = cache.attn.swapaxes(-1, -2) @ d_ctx_h
     d_scores = softmax_backward(d_attn, cache.attn, axis=-1) * scale
-    dqh = np.einsum("bhqk,bhkd->bhqd", d_scores, kh)
-    dkh = np.einsum("bhqk,bhqd->bhkd", d_scores, qh)
+    dqh = d_scores @ kh
+    dkh = d_scores.swapaxes(-1, -2) @ qh
 
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)

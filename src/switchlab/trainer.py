@@ -286,6 +286,13 @@ def mask_tokens(
 
 @dataclass
 class Batch:
+    """One step's masked inputs and targets.
+
+    Each (target_rows, target_cols) pair names a distinct position, because
+    ``mask_tokens`` samples positions without replacement; the loss gradient
+    relies on this to write rather than accumulate per-target rows.
+    """
+
     input_ids: np.ndarray  # [S, L] with sentinels in place
     target_rows: np.ndarray  # flat masked-position coordinates
     target_cols: np.ndarray
@@ -553,9 +560,7 @@ def model_bwd(
     if model.out_proj is not None:
         grads["out_proj"] = flat_final.T @ dl
         dh = (dl @ model.out_proj.T).reshape(s, l, d)
-        d_emb = np.zeros_like(model.embedding)
     else:
-        d_emb = dl.T @ flat_final  # logits = h @ E^T contributes to the embedding
         dh = (dl @ model.embedding).reshape(s, l, d)
 
     for i in reversed(range(len(model.blocks))):
@@ -588,7 +593,14 @@ def model_bwd(
                 grads[f"{p}.attn.q.w_out"] = a_grads["q.w_out"]
         dh = dh + a_grads["x"]
 
-    np.add.at(d_emb, cache.input_ids.reshape(-1), dh.reshape(s * l, d))
+    # Scatter-add each position's gradient onto its token's embedding row as
+    # one flat float64 bincount over (token id, feature) cells, which sums
+    # each cell's contributions in input order.
+    v = model.embedding.shape[0]
+    cells = (cache.input_ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+    d_emb = np.bincount(cells, weights=dh.reshape(-1), minlength=v * d).reshape(v, d)
+    if model.out_proj is None:
+        d_emb += dl.T @ flat_final  # logits = h @ E^T contributes to the embedding
     grads["embedding"] = d_emb
     return grads
 
@@ -608,7 +620,7 @@ def masked_cross_entropy(
     d_picked[np.arange(ids.size), ids] -= 1.0
     d_picked /= ids.size
     d_logits = np.zeros_like(logits)
-    np.add.at(d_logits, (rows, cols), d_picked)
+    d_logits[rows, cols] = d_picked  # (row, col) pairs are distinct; see Batch
     return ce, d_logits
 
 
@@ -893,7 +905,7 @@ def distill_train(
         if not np.isfinite(total):
             raise NumericError(f"non-finite distillation loss at step {step}")
         d_logits = np.zeros_like(fwd.logits)
-        np.add.at(d_logits, (batch.target_rows, batch.target_cols), d_picked)
+        d_logits[batch.target_rows, batch.target_cols] = d_picked
         grads = model_bwd(student, fwd.cache, d_logits, aux_weight=1.0)
         adam_update(named_parameters(student), grads, opt_state, student_config.learning_rate)
         nlp = neg_log_perplexity(s_logits, batch.target_ids)

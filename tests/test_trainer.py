@@ -1,0 +1,145 @@
+"""Trainer: loss and embedding gradients, run determinism and resume.
+
+The finite-difference test runs the whole model in float64 (``grad_check``
+upcasts the probed tensors, and numpy promotes everything they touch), on
+input ids that repeat, so several positions scatter into one embedding row.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from switchlab import cli, switch_layer, trainer
+from switchlab.router import RouterConfig
+from switchlab.tensor_core import RngStream, grad_check, softmax
+from switchlab.trainer import (
+    Batch,
+    TrainConfig,
+    batch_for_step,
+    build_model,
+    gen_synthetic_corpus,
+    masked_cross_entropy,
+    model_bwd,
+    model_fwd,
+)
+
+FD_STEP = 1e-4
+
+
+def _tiny_batch(config: TrainConfig) -> Batch:
+    # Two sequences of six tokens over seven ids: ids 1 and 3 recur.
+    seqs = np.array([[1, 3, 1, 5, 3, 0], [2, 1, 6, 3, 4, 1]])
+    rows = np.array([0, 0, 1, 1])
+    cols = np.array([1, 4, 0, 5])
+    inputs = seqs.copy()
+    inputs[rows, cols] = config.sentinel_id
+    return Batch(inputs, rows, cols, seqs[rows, cols])
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_loss_gradient_matches_finite_differences(tied):
+    config = TrainConfig(
+        vocab=8, seq_len=6, batch_tokens=12, d_model=8, d_ff=8, num_layers=2, num_heads=2,
+        init_scale=1.0, tie_embeddings=tied,
+    )
+    model = build_model(config, RouterConfig(num_experts=2), RngStream(11).substream("init"))
+    batch = _tiny_batch(config)
+    assert np.bincount(batch.input_ids.ravel()).max() > 1
+
+    def f(p):
+        model.embedding = p[0]
+        if not tied:
+            model.out_proj = p[1]
+        fwd = model_fwd(model, batch.input_ids, RngStream(0), training=False)
+        ce, d_logits = masked_cross_entropy(fwd.logits, batch)
+        grads = model_bwd(model, fwd.cache, d_logits)
+        return ce, [grads["embedding"]] + ([] if tied else [grads["out_proj"]])
+
+    params = [model.embedding] + ([] if tied else [model.out_proj])
+    base = model_fwd(model, batch.input_ids, RngStream(0), training=False)
+    # Finite differences are only meaningful away from the relu kinks.
+    margin = min(np.abs(c.pre_relu).min() for c in base.cache.ffn_caches)
+    assert margin >= 10 * FD_STEP, f"a relu pre-activation sits {margin:.2e} from its kink"
+
+    report = grad_check(f, params, h=FD_STEP)
+    assert report.passed, report.details
+
+
+def test_masked_cross_entropy_gradient_equals_add_at_scatter():
+    config = TrainConfig(vocab=32, seq_len=16, batch_tokens=256, corpus_size=64, seed=5)
+    corpus = gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
+        RngStream(config.seed).substream("corpus"),
+    )
+    rng = RngStream(9)
+    for step in range(3):
+        batch = batch_for_step(corpus, step, config)
+        assert len(set(zip(batch.target_rows, batch.target_cols))) == batch.target_ids.size
+        logits = rng.substream(f"logits{step}").normal(
+            batch.input_ids.shape + (config.vocab,)
+        ).astype(np.float32)
+        _, d_logits = masked_cross_entropy(logits, batch)
+
+        n = batch.target_ids.size
+        d_picked = softmax(logits[batch.target_rows, batch.target_cols], axis=-1)
+        d_picked[np.arange(n), batch.target_ids] -= 1.0
+        d_picked /= n
+        expected = np.zeros_like(logits)
+        np.add.at(expected, (batch.target_rows, batch.target_cols), d_picked)
+        assert d_logits.dtype == expected.dtype
+        assert np.array_equal(d_logits, expected)
+
+
+@pytest.mark.parametrize(
+    "func, slow_form",
+    [
+        (switch_layer.attention_fwd, "np.einsum"),
+        (switch_layer.attention_bwd, "np.einsum"),
+        (switch_layer.moe_topk_ffn_bwd, "np.add.at"),
+        (trainer.model_bwd, "np.add.at"),
+        (trainer.masked_cross_entropy, "np.add.at"),
+        (trainer.distill_train, "np.add.at"),
+    ],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_train_step_kernels_avoid_slow_forms(func, slow_form):
+    """Un-optimized einsums and casting add-at scatters cost 5-20x here."""
+    assert slow_form not in inspect.getsource(func)
+
+
+def _train(tmp_path, name, steps, *extra):
+    argv = [
+        "train", "--seed", "7", "--outdir", str(tmp_path),
+        "--set", f"run.name={name}",
+        "--set", f"train.steps={steps}",
+        "--set", "train.ffn_kind=switch",
+        "--set", "train.attention_kind=switch",
+        "--set", "train.num_heads=2",
+        "--set", "router.policy=input_jitter",
+        *extra,
+    ]
+    assert cli.main(argv) == 0
+    return tmp_path / name
+
+
+def test_same_seed_writes_identical_metrics(tmp_path):
+    first = _train(tmp_path, "a", 12)
+    second = _train(tmp_path, "b", 12)
+    assert (first / "metrics.csv").read_bytes() == (second / "metrics.csv").read_bytes()
+
+
+def test_resumed_run_continues_exactly(tmp_path):
+    straight = (_train(tmp_path, "straight", 20) / "metrics.csv").read_text().splitlines()
+    head = _train(tmp_path, "head", 10)
+    tail = _train(tmp_path, "tail", 20, "--resume", str(head / "final.ckpt"))
+    head_lines = (head / "metrics.csv").read_text().splitlines()
+    tail_lines = (tail / "metrics.csv").read_text().splitlines()
+    assert tail_lines[:2] == head_lines[:2]  # schema line and column names
+    assert head_lines + tail_lines[2:] == straight
+    resumed = cli.load_checkpoint(str(tail / "final.ckpt"))
+    reference = cli.load_checkpoint(str(tmp_path / "straight" / "final.ckpt"))
+    assert resumed.step == reference.step == 20
+    assert resumed.tensors.keys() == reference.tensors.keys()
+    for name, t in reference.tensors.items():
+        assert np.array_equal(resumed.tensors[name].data, t.data), name
