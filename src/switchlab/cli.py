@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import struct
 import sys
@@ -61,6 +62,7 @@ METRICS_SCHEMA_VERSION = 1
 CHECKPOINT_MAGIC = b"SWCHKPT"
 CHECKPOINT_VERSION = 1
 _HEADER_KEYS = {"step", "config", "rng", "tensors"}
+_RECORD_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
 
 
 class UnsupportedVersionError(RuntimeError):
@@ -326,27 +328,48 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CorruptCheckpointError(
             f"header at byte offset {pos} lacks one of {sorted(_HEADER_KEYS)}"
         )
+    if not isinstance(header["tensors"], list):
+        raise CorruptCheckpointError(f"header at byte offset {pos} has no tensor list")
     pos += header_len
 
     tensors: dict[str, Tensor] = {}
-    for rec in header["tensors"]:
+    for i, rec in enumerate(header["tensors"]):
+        _check_record(rec, i)
         start = pos + rec["offset"]
         end = start + rec["nbytes"]
         if end > len(blob):
             raise CorruptCheckpointError(
                 f"tensor {rec['name']!r} truncated at byte offset {len(blob)}"
             )
-        arr = np.frombuffer(blob[start:end], dtype=rec["dtype"]).reshape(rec["shape"])
-        tensors[rec["name"]] = Tensor(
-            arr.astype(np.float32).copy(), rec.get("precision_tag", "full")
-        )
+        arr = np.frombuffer(memoryview(blob)[start:end], dtype="<f4").reshape(rec["shape"])
+        tensors[rec["name"]] = Tensor(arr.astype(np.float32), rec.get("precision_tag", "full"))
     return Checkpoint(version, header["step"], header["config"], header["rng"], tensors)
 
 
+def _check_record(rec, index: int) -> None:
+    """Raise CorruptCheckpointError unless ``rec`` describes one float32 tensor."""
+    def is_count(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+    if not isinstance(rec, dict) or not _RECORD_KEYS <= rec.keys():
+        raise CorruptCheckpointError(f"tensor record {index} lacks one of {sorted(_RECORD_KEYS)}")
+    shape, nbytes = rec["shape"], rec["nbytes"]
+    if not (isinstance(rec["name"], str) and is_count(rec["offset"]) and is_count(nbytes)
+            and rec["dtype"] == "<f4" and isinstance(shape, list)
+            and all(map(is_count, shape)) and 4 * math.prod(shape) == nbytes):
+        raise CorruptCheckpointError(
+            f"tensor record {index} is not '<f4' data of its shape at an offset: {rec}"
+        )
+
+
 def restore_model(ckpt: Checkpoint) -> tuple[ToyModel, AdamState, ExperimentConfig]:
-    """Rebuild model and optimizer from a checkpoint; unknown tensors are fatal."""
+    """Rebuild model and optimizer from a checkpoint; unknown tensors are fatal.
+
+    The model starts as an all-zero skeleton, with no random draw, and every
+    parameter must come from the checkpoint.
+    """
     config = parse_config(overrides=[ln for ln in ckpt.config_text.splitlines() if ln.strip()])
-    model = build_model(config.train, config.router, RngStream(config.seed).substream("init"))
+    model = build_model(config.train, config.router, None)
     params = named_parameters(model)
     opt = AdamState(step=ckpt.step)
 

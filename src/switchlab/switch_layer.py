@@ -32,12 +32,12 @@ from .router import (
 from .tensor_core import (
     InvalidArgumentError,
     RngStream,
+    init_weight,
     quantize_bf16,
     relu,
     relu_backward,
     softmax,
     softmax_backward,
-    trunc_normal_init,
 )
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "switch_attention",
     "attention_fwd",
     "attention_bwd",
-    "expert_dropout_mask",
     "dense_ffn_macs_per_token",
     "switch_ffn_macs_per_token",
     "router_macs_per_token",
@@ -83,7 +82,6 @@ class SwitchLayerParams:
     w_router: np.ndarray  # [d_model, experts]
     w_in: np.ndarray  # [experts, d_model, d_ff]
     w_out: np.ndarray | None  # [experts, d_ff, d_model]
-    dropout_rate: float = 0.0
     expert_dropout_rate: float = 0.0
 
     @property
@@ -128,54 +126,43 @@ def init_switch_layer_params(
     d_model: int,
     d_ff: int,
     num_experts: int,
-    rng: RngStream,
+    rng: RngStream | None,
     scale: float = DEFAULT_INIT_SCALE,
-    dropout_rate: float = 0.0,
     expert_dropout_rate: float = 0.0,
     expert_form: str = "ffn",
 ) -> SwitchLayerParams:
-    """Truncated-normal init for router and expert weights (sigma^2 = scale/fan_in)."""
-    w_router = trunc_normal_init((d_model, num_experts), scale, d_model, rng.substream("w_router"))
-    if expert_form == "linear":
-        w_in = np.stack(
-            [
-                trunc_normal_init((d_model, d_model), scale, d_model, rng.substream(f"expert{e}.w_in"))
-                for e in range(num_experts)
-            ]
-        )
-        w_out = None
-    else:
-        w_in = np.stack(
-            [
-                trunc_normal_init((d_model, d_ff), scale, d_model, rng.substream(f"expert{e}.w_in"))
-                for e in range(num_experts)
-            ]
-        )
-        w_out = np.stack(
-            [
-                trunc_normal_init((d_ff, d_model), scale, d_ff, rng.substream(f"expert{e}.w_out"))
-                for e in range(num_experts)
-            ]
-        )
-    return SwitchLayerParams(w_router, w_in, w_out, dropout_rate, expert_dropout_rate)
+    """Truncated-normal init for router and expert weights (sigma^2 = scale/fan_in).
+
+    With ``rng`` None every weight is zero and nothing is drawn.
+    """
+    w_router = init_weight((d_model, num_experts), scale, d_model, rng, "w_router")
+    d_hidden = d_model if expert_form == "linear" else d_ff
+    w_in = np.stack([
+        init_weight((d_model, d_hidden), scale, d_model, rng, f"expert{e}.w_in")
+        for e in range(num_experts)
+    ])
+    w_out = None
+    if expert_form != "linear":
+        w_out = np.stack([
+            init_weight((d_ff, d_model), scale, d_ff, rng, f"expert{e}.w_out")
+            for e in range(num_experts)
+        ])
+    return SwitchLayerParams(w_router, w_in, w_out, expert_dropout_rate)
 
 
 def init_attention_weights(
     d_model: int,
-    rng: RngStream,
+    rng: RngStream | None,
     scale: float = DEFAULT_INIT_SCALE,
     dense_q: bool = True,
 ) -> AttentionWeights:
-    w_q = (
-        trunc_normal_init((d_model, d_model), scale, d_model, rng.substream("w_q"))
-        if dense_q
-        else None
-    )
+    """Truncated-normal attention projections; zeros and no draw with ``rng`` None."""
+    def weight(label: str) -> np.ndarray:
+        return init_weight((d_model, d_model), scale, d_model, rng, label)
+
     return AttentionWeights(
-        w_k=trunc_normal_init((d_model, d_model), scale, d_model, rng.substream("w_k")),
-        w_v=trunc_normal_init((d_model, d_model), scale, d_model, rng.substream("w_v")),
-        w_o=trunc_normal_init((d_model, d_model), scale, d_model, rng.substream("w_o")),
-        w_q=w_q,
+        w_k=weight("w_k"), w_v=weight("w_v"), w_o=weight("w_o"),
+        w_q=weight("w_q") if dense_q else None,
     )
 
 
@@ -196,12 +183,6 @@ def _dropout(
         raise InvalidArgumentError("dropout in train mode requires an rng")
     keep = (rng.uniform(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
-
-
-def expert_dropout_mask(intermediate: np.ndarray, rate: float, rng: RngStream) -> np.ndarray:
-    """Apply inverted dropout to an expert intermediate (train-time helper)."""
-    out, _ = _dropout(np.asarray(intermediate), rate, rng, "train")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "tensor",
     "RngStream",
     "trunc_normal_init",
+    "init_weight",
     "softmax",
     "softmax_backward",
     "quantize_bf16",
@@ -206,6 +207,16 @@ def trunc_normal_init(
         z = np.where(out_of_range, rng.normal(shape), z)
         out_of_range = np.abs(z) > 2.0
     return (sigma * z).astype(np.float32)
+
+
+def init_weight(
+    shape: Sequence[int], scale: float, fan_in: int, rng: RngStream | None, label: str
+) -> np.ndarray:
+    """``trunc_normal_init`` from ``rng``'s ``label`` substream; with ``rng``
+    None, float32 zeros and no draw (a skeleton that a checkpoint fills)."""
+    if rng is None:
+        return np.zeros(shape, np.float32)
+    return trunc_normal_init(shape, scale, fan_in, rng.substream(label))
 
 
 # ---------------------------------------------------------------------------

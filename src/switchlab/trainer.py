@@ -42,8 +42,8 @@ from .tensor_core import (
     InvalidArgumentError,
     NumericError,
     RngStream,
+    init_weight,
     softmax,
-    trunc_normal_init,
 )
 
 __all__ = [
@@ -238,28 +238,22 @@ def _walk_chains(
     size: int,
     rng: RngStream,
 ) -> tuple[np.ndarray, np.ndarray]:
-    num_clusters = len(transitions)
     width = transitions[0].shape[0] if transitions else 0
     sequences = np.zeros((size, seq_len), dtype=np.int64)
     cluster_ids = np.zeros(size, dtype=np.int64)
     if size > 0 and seq_len > 0:
-        cluster_ids = rng.substream("clusters").integers(0, num_clusters, size)
+        cluster_ids = rng.substream("clusters").integers(0, len(transitions), size)
         starts = rng.substream("starts").uniform(size)
         chain = rng.substream("chain")
         current = (starts * width).astype(np.int64)  # offset within the range
-        lo = np.array([ranges[c][0] for c in cluster_ids])
+        lo = np.array([r[0] for r in ranges])[cluster_ids]
         sequences[:, 0] = lo + current
+        # Every row's CDF once, [K, width, width]; each step gathers one per sequence.
+        cdfs = np.cumsum(np.stack(transitions), axis=2)
+        cdfs[:, :, -1] = 1.0
         for pos in range(1, seq_len):
             u = chain.uniform(size)
-            nxt = np.zeros(size, dtype=np.int64)
-            for k in range(num_clusters):
-                rows = cluster_ids == k
-                if not rows.any():
-                    continue
-                cdf = np.cumsum(transitions[k][current[rows]], axis=1)
-                cdf[:, -1] = 1.0
-                nxt[rows] = (u[rows, None] > cdf).sum(axis=1)
-            current = nxt
+            current = (u[:, None] > cdfs[cluster_ids, current]).sum(axis=1)
             sequences[:, pos] = lo + current
     return sequences, cluster_ids
 
@@ -314,23 +308,20 @@ def batch_for_step(
     epoch, offset = divmod(step, batches_per_epoch)
     order = root.substream(f"epoch{epoch}/order").permutation(corpus.size)
     rows = order[offset * s_per_batch : (offset + 1) * s_per_batch]
-    seqs = corpus.sequences[rows]
+    return _masked_batch(corpus.sequences[rows], config, root.substream(f"step{step}/mask"))
 
-    mask_rng = root.substream(f"step{step}/mask")
+
+def _masked_batch(seqs: np.ndarray, config: TrainConfig, mask_rng: RngStream) -> Batch:
+    """Mask each sequence in turn with draws from ``mask_rng``."""
     inputs = np.empty_like(seqs)
     t_rows, t_cols, t_ids = [], [], []
-    for i in range(s_per_batch):
-        masked, pos, ids = mask_tokens(seqs[i], config.mask_rate, config.sentinel_id, mask_rng)
+    for i, seq in enumerate(seqs):
+        masked, pos, ids = mask_tokens(seq, config.mask_rate, config.sentinel_id, mask_rng)
         inputs[i] = masked
         t_rows.append(np.full(pos.size, i))
         t_cols.append(pos)
         t_ids.append(ids)
-    return Batch(
-        inputs,
-        np.concatenate(t_rows),
-        np.concatenate(t_cols),
-        np.concatenate(t_ids),
-    )
+    return Batch(inputs, np.concatenate(t_rows), np.concatenate(t_cols), np.concatenate(t_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -365,44 +356,51 @@ def _is_expert_position(i: int, config: TrainConfig) -> bool:
 
 
 def build_model(
-    config: TrainConfig, router_config: RouterConfig, rng: RngStream
+    config: TrainConfig, router_config: RouterConfig, rng: RngStream | None
 ) -> ToyModel:
-    """Initialize a model; expert FFNs sit at every ``expert_every``-th block."""
+    """Initialize a model; expert FFNs sit at every ``expert_every``-th block.
+
+    With ``rng`` None every tensor is zero and nothing is drawn: the skeleton
+    ``cli.restore_model`` fills from a checkpoint.
+    """
     d, dff, v = config.d_model, config.d_ff, config.vocab
     scale = config.init_scale
-    dropout, expert_dropout = config.resolved_dropout()
+    _, expert_dropout = config.resolved_dropout()
 
-    embedding = trunc_normal_init((v, d), scale, d, rng.substream("embedding"))
+    routed_q = config.attention_kind == "switch"
+
+    def block_rng(i: int, label: str) -> RngStream | None:
+        # Labels nest with '/': this is the "block{i}" substream's ``label`` substream.
+        return None if rng is None else rng.substream(f"block{i}/{label}")
+
+    embedding = init_weight((v, d), scale, d, rng, "embedding")
     blocks = []
     for i in range(config.num_layers):
-        brng = rng.substream(f"block{i}")
+        attn_weights = init_attention_weights(d, block_rng(i, "attn"), scale, dense_q=not routed_q)
         q_switch = None
-        if config.attention_kind == "switch":
-            attn_weights = init_attention_weights(d, brng.substream("attn"), scale, dense_q=False)
+        if routed_q:
             q_switch = init_switch_layer_params(
-                d, dff, router_config.num_experts, brng.substream("attn.q"),
+                d, dff, router_config.num_experts, block_rng(i, "attn.q"),
                 scale, expert_form="linear", expert_dropout_rate=expert_dropout,
             )
-        else:
-            attn_weights = init_attention_weights(d, brng.substream("attn"), scale, dense_q=True)
 
         if _is_expert_position(i, config):
             ffn_switch = init_switch_layer_params(
-                d, dff, router_config.num_experts, brng.substream("ffn"),
-                scale, dropout_rate=dropout, expert_dropout_rate=expert_dropout,
+                d, dff, router_config.num_experts, block_rng(i, "ffn"),
+                scale, expert_dropout_rate=expert_dropout,
             )
             kind = config.ffn_kind
             w_in = w_out = None
         else:
             ffn_switch = None
             kind = "dense"
-            w_in = trunc_normal_init((d, dff), scale, d, brng.substream("ffn.w_in"))
-            w_out = trunc_normal_init((dff, d), scale, dff, brng.substream("ffn.w_out"))
+            w_in = init_weight((d, dff), scale, d, rng, f"block{i}/ffn.w_in")
+            w_out = init_weight((dff, d), scale, dff, rng, f"block{i}/ffn.w_out")
         blocks.append(BlockParams(attn_weights, q_switch, kind, w_in, w_out, ffn_switch))
 
     out_proj = None
     if not config.tie_embeddings:
-        out_proj = trunc_normal_init((d, v), scale, d, rng.substream("out_proj"))
+        out_proj = init_weight((d, v), scale, d, rng, "out_proj")
     return ToyModel(config, router_config, embedding, blocks, out_proj)
 
 
@@ -432,18 +430,6 @@ def named_parameters(model: ToyModel) -> dict[str, np.ndarray]:
     if model.out_proj is not None:
         params["out_proj"] = model.out_proj
     return params
-
-
-def set_parameter(model: ToyModel, name: str, value: np.ndarray) -> None:
-    """Overwrite one named tensor in place (shape-checked)."""
-    params = named_parameters(model)
-    if name not in params:
-        raise InvalidArgumentError(f"unknown parameter {name!r}")
-    if params[name].shape != value.shape:
-        raise InvalidArgumentError(
-            f"parameter {name!r} has shape {params[name].shape}, got {value.shape}"
-        )
-    params[name][...] = value
 
 
 # ---------------------------------------------------------------------------
@@ -748,17 +734,7 @@ def evaluate(
             root.substream("corpus"),
         )
     heldout = sample_sequences(corpus, num_sequences, root.substream("eval_sequences"))
-    mask_rng = root.substream("eval_mask")
-    seqs = heldout.sequences
-    inputs = np.empty_like(seqs)
-    t_rows, t_cols, t_ids = [], [], []
-    for i in range(seqs.shape[0]):
-        masked, pos, ids = mask_tokens(seqs[i], config.mask_rate, config.sentinel_id, mask_rng)
-        inputs[i] = masked
-        t_rows.append(np.full(pos.size, i))
-        t_cols.append(pos)
-        t_ids.append(ids)
-    batch = Batch(inputs, np.concatenate(t_rows), np.concatenate(t_cols), np.concatenate(t_ids))
+    batch = _masked_batch(heldout.sequences, config, root.substream("eval_mask"))
     fwd = model_fwd(model, batch.input_ids, root.substream("eval_model"), training=False)
     ce, _ = masked_cross_entropy(fwd.logits, batch)
     nlp = neg_log_perplexity(fwd.logits[batch.target_rows, batch.target_cols], batch.target_ids)

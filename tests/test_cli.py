@@ -1,12 +1,14 @@
 """Command-line self-checks (gradient suite, mesh simulator check) and checkpoint files."""
 
+import json
 import struct
 
 import pytest
 
 from switchlab import cli
-from switchlab.tensor_core import RngStream
-from switchlab.trainer import AdamState, build_model
+from switchlab.router import RouterConfig
+from switchlab.tensor_core import InvalidArgumentError, RngStream
+from switchlab.trainer import AdamState, TrainConfig, build_model, named_parameters, train
 
 
 @pytest.mark.parametrize(
@@ -53,8 +55,13 @@ def _header_blob(header: bytes) -> bytes:
         _header_blob(b"\xff\xfe{}"),  # not UTF-8
         _header_blob(b"[]"),
         _header_blob(b'{"stel": 0, "config": "", "rng": {}, "tensors": []}'),
+        _header_blob(b'{"step": 0, "config": "", "rng": {}, "tensors": {}}'),
+        _header_blob(b'{"step": 0, "config": "", "rng": {}, "tensors": [7]}'),
     ],
-    ids=["empty", "3_bytes", "magic_only", "bad_json", "bad_utf8", "not_an_object", "missing_key"],
+    ids=[
+        "empty", "3_bytes", "magic_only", "bad_json", "bad_utf8", "not_an_object", "missing_key",
+        "tensors_not_a_list", "record_not_an_object",
+    ],
 )
 def test_load_checkpoint_rejects_corrupt_file(tmp_path, blob, capsys):
     path = tmp_path / "bad.ckpt"
@@ -89,3 +96,137 @@ def test_save_checkpoint_replaces_target_atomically(tmp_path, monkeypatch):
         cli.save_checkpoint(other, AdamState(step=4), config, str(path))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["final.ckpt"]
+
+
+def _edit_header(path, edit) -> None:
+    """Rewrite a checkpoint's JSON header through ``edit``, keeping its payloads."""
+    blob = path.read_bytes()
+    pos = len(cli.CHECKPOINT_MAGIC) + 1
+    (length,) = struct.unpack_from("<Q", blob, pos)
+    header = json.loads(blob[pos + 8 : pos + 8 + length])
+    edit(header)
+    path.write_bytes(_header_blob(json.dumps(header).encode()) + blob[pos + 8 + length :])
+
+
+def _saved_checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    model, config = _model_and_config(0)
+    cli.save_checkpoint(model, AdamState(), config, str(path))
+    return path
+
+
+def _resume_exits_2(tmp_path, path, capsys) -> None:
+    argv = ["train", "--seed", "0", "--outdir", str(tmp_path), "--resume", str(path)]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def _set_field(key, value):
+    def edit(header):
+        header["tensors"][0][key] = value
+    return edit
+
+
+def _drop_field(key):
+    def edit(header):
+        del header["tensors"][0][key]
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop_field("nbytes"),
+        _drop_field("offset"),
+        _drop_field("shape"),
+        _drop_field("dtype"),
+        _set_field("offset", -4),
+        _set_field("nbytes", 2.5),
+        _set_field("dtype", "<f8"),
+        _set_field("shape", [3, 5]),
+    ],
+    ids=[
+        "no_nbytes", "no_offset", "no_shape", "no_dtype",
+        "negative_offset", "fractional_nbytes", "float64_dtype", "shape_not_nbytes",
+    ],
+)
+def test_load_checkpoint_rejects_bad_tensor_record(tmp_path, edit, capsys):
+    path = _saved_checkpoint(tmp_path)
+    _edit_header(path, edit)
+    with pytest.raises(cli.CorruptCheckpointError):
+        cli.load_checkpoint(str(path))
+    _resume_exits_2(tmp_path, path, capsys)
+
+
+def _trained_state(overrides):
+    """A model and optimizer after two training steps, so the Adam moments are set."""
+    tc = TrainConfig(seed=3, steps=2, corpus_size=64, **overrides)
+    rc = RouterConfig(num_experts=4)
+    model, opt, _ = train(tc, rc)
+    return model, opt, cli.ExperimentConfig(seed=3, train=tc, router=rc)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"ffn_kind": "switch"},
+        {"ffn_kind": "moe2", "attention_kind": "switch", "num_heads": 2},
+    ],
+    ids=["dense", "switch", "moe2_switch_attention"],
+)
+def test_restore_model_returns_saved_state_bitwise(tmp_path, overrides, monkeypatch):
+    model, opt, config = _trained_state(overrides)
+    path = str(tmp_path / "model.ckpt")
+    cli.save_checkpoint(model, opt, config, path)
+    ckpt = cli.load_checkpoint(path)
+
+    def no_draws(self):
+        raise AssertionError("restore_model drew from an RngStream")
+
+    monkeypatch.setattr(RngStream, "_generator", no_draws)
+    restored, restored_opt, restored_config = cli.restore_model(ckpt)
+
+    assert cli.serialize_config(restored_config) == cli.serialize_config(config)
+    assert restored_opt.step == opt.step == 2
+    for saved, loaded in [
+        (named_parameters(model), named_parameters(restored)),
+        (opt.m, restored_opt.m),
+        (opt.v, restored_opt.v),
+    ]:
+        assert saved.keys() == loaded.keys()
+        for name, arr in saved.items():
+            assert loaded[name].dtype == arr.dtype, name
+            assert loaded[name].tobytes() == arr.tobytes(), name
+
+
+def _rename_first(header):
+    header["tensors"][0]["name"] = "bogus"
+
+
+def _transpose_ffn_w_in(header):
+    (rec,) = [r for r in header["tensors"] if r["name"] == "block0.ffn.w_in"]
+    assert rec["shape"][0] != rec["shape"][1]
+    rec["shape"] = rec["shape"][::-1]
+
+
+def _drop_embedding(header):
+    header["tensors"] = [r for r in header["tensors"] if r["name"] != "embedding"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_rename_first, "unknown tensor"),
+        (_transpose_ffn_w_in, "does not match model shape"),
+        (_drop_embedding, "missing model tensors"),
+    ],
+    ids=["unknown_tensor", "shape_mismatch", "missing_tensor"],
+)
+def test_restore_model_rejects_mismatched_checkpoint(tmp_path, edit, message, capsys):
+    path = _saved_checkpoint(tmp_path)
+    _edit_header(path, edit)
+    ckpt = cli.load_checkpoint(str(path))
+    with pytest.raises(InvalidArgumentError, match=message):
+        cli.restore_model(ckpt)
+    _resume_exits_2(tmp_path, path, capsys)

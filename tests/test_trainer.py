@@ -143,3 +143,59 @@ def test_resumed_run_continues_exactly(tmp_path):
     assert resumed.tensors.keys() == reference.tensors.keys()
     for name, t in reference.tensors.items():
         assert np.array_equal(resumed.tensors[name].data, t.data), name
+
+
+def _walk_chains_per_cluster(transitions, ranges, seq_len, size, rng):
+    """The walk as one CDF per cluster and step, kept as the reference."""
+    num_clusters = len(transitions)
+    width = transitions[0].shape[0] if transitions else 0
+    sequences = np.zeros((size, seq_len), dtype=np.int64)
+    cluster_ids = np.zeros(size, dtype=np.int64)
+    if size > 0 and seq_len > 0:
+        cluster_ids = rng.substream("clusters").integers(0, num_clusters, size)
+        starts = rng.substream("starts").uniform(size)
+        chain = rng.substream("chain")
+        current = (starts * width).astype(np.int64)
+        lo = np.array([ranges[c][0] for c in cluster_ids])
+        sequences[:, 0] = lo + current
+        for pos in range(1, seq_len):
+            u = chain.uniform(size)
+            nxt = np.zeros(size, dtype=np.int64)
+            for k in range(num_clusters):
+                rows = cluster_ids == k
+                if not rows.any():
+                    continue
+                cdf = np.cumsum(transitions[k][current[rows]], axis=1)
+                cdf[:, -1] = 1.0
+                nxt[rows] = (u[rows, None] > cdf).sum(axis=1)
+            current = nxt
+            sequences[:, pos] = lo + current
+    return sequences, cluster_ids
+
+
+@pytest.mark.parametrize(
+    "vocab, clusters, seq_len, size",
+    [(64, 4, 16, 512), (256, 8, 32, 300), (33, 8, 5, 3), (9, 2, 1, 10), (64, 4, 16, 0)],
+    ids=["default", "wide", "empty_cluster", "seq_len_1", "size_0"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_walk_chains_equals_per_cluster_walk(vocab, clusters, seq_len, size, seed):
+    corpus = gen_synthetic_corpus(vocab, clusters, seq_len, 0, RngStream(seed).substream("c"))
+    args = (corpus.transitions, corpus.token_ranges, seq_len, size)
+    sequences, cluster_ids = trainer._walk_chains(*args, RngStream(seed).substream("walk"))
+    ref_sequences, ref_ids = _walk_chains_per_cluster(*args, RngStream(seed).substream("walk"))
+    if size == 3:
+        assert np.unique(cluster_ids).size < clusters
+    for got, want in [(sequences, ref_sequences), (cluster_ids, ref_ids)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_evaluate_repeats_exactly():
+    config = TrainConfig(ffn_kind="switch", corpus_size=64, seed=4)
+    model = build_model(config, RouterConfig(num_experts=4), RngStream(4).substream("init"))
+    first = trainer.evaluate(model, config, num_sequences=32)
+    second = trainer.evaluate(model, config, num_sequences=32)
+    assert np.isfinite(first.cross_entropy)
+    assert first.cross_entropy == second.cross_entropy
+    assert first.neg_log_perplexity == second.neg_log_perplexity
