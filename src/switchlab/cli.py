@@ -335,6 +335,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors: dict[str, Tensor] = {}
     for i, rec in enumerate(header["tensors"]):
         _check_record(rec, i)
+        if rec["name"] in tensors:
+            raise CorruptCheckpointError(f"tensor record {i} repeats the name {rec['name']!r}")
         start = pos + rec["offset"]
         end = start + rec["nbytes"]
         if end > len(blob):
@@ -343,6 +345,12 @@ def load_checkpoint(path: str) -> Checkpoint:
             )
         arr = np.frombuffer(memoryview(blob)[start:end], dtype="<f4").reshape(rec["shape"])
         tensors[rec["name"]] = Tensor(arr.astype(np.float32), rec.get("precision_tag", "full"))
+    # Sorted by start, nonempty payloads overlap iff some neighbouring pair does.
+    records = [r for r in header["tensors"] if r["nbytes"]]
+    spans = sorted((r["offset"], r["offset"] + r["nbytes"], r["name"]) for r in records)
+    for (_, end, name), (start, _, other) in zip(spans, spans[1:]):
+        if start < end:
+            raise CorruptCheckpointError(f"tensors {name!r} and {other!r} share payload bytes")
     return Checkpoint(version, header["step"], header["config"], header["rng"], tensors)
 
 
@@ -541,7 +549,9 @@ def _gradient_checks():
         from .switch_layer import SwitchLayerParams
 
         cfg = RouterConfig(num_experts=2, capacity_factor=2.0, alpha=0.01)
-        x = rng.substream("switch.x").normal((6, 4)) * 0.5
+        # Drawn so that every occupied slot's pre-activation is at least
+        # 10 h from the relu kink.
+        x = rng.substream("switch.x12").normal((6, 4)) * 0.5
         params = init_switch_layer_params(4, 8, 2, rng.substream("switch.params"), scale=0.5)
         out0, cache0 = switch_ffn_fwd(x, params, cfg, RngStream(0), "eval")
         plan0 = cache0.plan
@@ -559,8 +569,9 @@ def _gradient_checks():
         from .switch_layer import SwitchLayerParams
 
         # Four slots per expert for 8 tokens: half the second choices overflow.
+        # Drawn, as for switch_check, away from the relu kink.
         cfg = RouterConfig(num_experts=3, capacity_factor=1.5, alpha=0.01)
-        x = rng.substream("top2.x").normal((8, 4)) * 0.5
+        x = rng.substream("top2.x12").normal((8, 4)) * 0.5
         params = init_switch_layer_params(4, 6, 3, rng.substream("top2.params"), scale=0.5)
         _, cache0 = moe_topk_ffn_fwd(x, params, 2, cfg, RngStream(0), "eval", renormalize)
         plans0 = cache0.plans

@@ -16,7 +16,7 @@ never through the discrete expert choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -262,6 +262,10 @@ class _Slots:
     precision the gate is bfloat16-quantized first, so a kept token whose
     gate rounds to zero leaves its slot empty, exactly as in the one-hot
     form of ``build_dispatch_combine``.
+
+    A top-k map holds every rank's entries rank-major: rank r owns entries
+    ``offsets[r]:offsets[r + 1]``. The ranks fill one capacity budget, so
+    no (expert, slot) pair repeats, and each rank lists a token at most once.
     """
 
     token: np.ndarray  # [K] int
@@ -271,6 +275,7 @@ class _Slots:
     num_tokens: int
     num_experts: int
     capacity: int
+    offsets: tuple[int, ...]  # rank boundaries into the K entries
 
     @classmethod
     def from_plan(cls, plan: DispatchPlan, selective_precision: bool) -> "_Slots":
@@ -282,7 +287,18 @@ class _Slots:
         token, gate = token[live], gate[live]
         return cls(
             token, plan.expert_index[token], plan.position_in_expert[token], gate,
-            plan.num_tokens, plan.num_experts, plan.capacity,
+            plan.num_tokens, plan.num_experts, plan.capacity, (0, token.size),
+        )
+
+    @classmethod
+    def from_plans(cls, plans: list[DispatchPlan], selective_precision: bool) -> "_Slots":
+        """One map for the ranks of a top-k layer, whose plans share a capacity budget."""
+        ranks = [cls.from_plan(p, selective_precision) for p in plans]
+        cat = lambda name: np.concatenate([getattr(r, name) for r in ranks])
+        return cls(
+            cat("token"), cat("expert"), cat("slot"), cat("gate"),
+            ranks[0].num_tokens, ranks[0].num_experts, ranks[0].capacity,
+            tuple(np.cumsum([0] + [r.token.size for r in ranks]).tolist()),
         )
 
     def gather(self, x: np.ndarray, gated: bool = False) -> np.ndarray:
@@ -295,12 +311,20 @@ class _Slots:
         return buf
 
     def scatter(self, buf: np.ndarray, gated: bool = False) -> np.ndarray:
-        """[E, C, d] slots, optionally gate-scaled, back onto their [T, d] rows; zero elsewhere."""
+        """[E, C, d] slots, optionally gate-scaled, back onto their [T, d] rows; zero elsewhere.
+
+        The first rank assigns its rows and later ranks add theirs in rank
+        order: since a rank lists each token at most once, this is the
+        per-rank sum ``y_0 + y_1 + ...`` bit for bit.
+        """
         rows = buf[self.expert, self.slot]
         if gated:
             rows = rows * self.gate[:, None]
         out = np.zeros((self.num_tokens, buf.shape[2]), dtype=rows.dtype)
-        out[self.token] = rows
+        bounds = self.offsets
+        out[self.token[: bounds[1]]] = rows[: bounds[1]]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            out[self.token[lo:hi]] += rows[lo:hi]
         return out
 
 
@@ -315,14 +339,6 @@ class _ExpertBufferCache:
     w_in: np.ndarray
     w_out: np.ndarray | None
     linear: bool
-
-
-def _per_expert(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[e] @ b[e]`` for every expert e, each as its own 2-D product."""
-    out = np.empty((a.shape[0], a.shape[1], b.shape[2]), dtype=np.result_type(a, b))
-    for e in range(a.shape[0]):
-        np.matmul(a[e], b[e], out=out[e])
-    return out
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -342,20 +358,20 @@ def _expert_buffers_fwd(
     """Gather tokens into expert slots, run the experts, scatter gate-scaled outputs.
 
     The gather and scatter move rows by index, so the cost is linear in the
-    token count. Expert matmuls run per expert as plain 2-D products over the
-    padded [C, d] buffers, which keeps the arithmetic identical to the
-    one-hot einsum form and a single-expert layer bit-identical to the dense
-    baseline.
+    token count. Each expert matmul is one ``np.matmul`` over the padded
+    [E, C, d] stack, a 2-D BLAS product per expert whose rows depend on their
+    own slot alone; this keeps the one-hot einsum form's arithmetic and a
+    single-expert layer bit-identical to the dense baseline.
     """
     expert_in = slots.gather(x)
     if w_out is None:  # linear experts (attention variant)
-        expert_out = _per_expert(expert_in, w_in)
+        expert_out = expert_in @ w_in
         pre_relu = activated = drop_scale = None
     else:
-        pre_relu = _per_expert(expert_in, w_in)
+        pre_relu = expert_in @ w_in
         r = relu(pre_relu)
         activated, drop_scale = _dropout(r, expert_dropout, rng, mode)
-        expert_out = _per_expert(activated, w_out)
+        expert_out = activated @ w_out
     y = slots.scatter(expert_out, gated=True)
     cache = _ExpertBufferCache(
         slots, expert_in, pre_relu, activated, drop_scale,
@@ -376,17 +392,17 @@ def _expert_buffers_bwd(
         "kd,kd->k", grad_y[slots.token], cache.expert_out[slots.expert, slots.slot]
     )
     if cache.linear:
-        dw_in = _per_expert(_t(cache.expert_in), d_expert_out)
-        d_expert_in = _per_expert(d_expert_out, _t(cache.w_in))
+        dw_in = _t(cache.expert_in) @ d_expert_out
+        d_expert_in = d_expert_out @ _t(cache.w_in)
         dw_out = None
     else:
-        dw_out = _per_expert(_t(cache.activated), d_expert_out)
-        d_act = _per_expert(d_expert_out, _t(cache.w_out))
+        dw_out = _t(cache.activated) @ d_expert_out
+        d_act = d_expert_out @ _t(cache.w_out)
         if cache.drop_scale is not None:
             d_act = d_act * cache.drop_scale
         dh = relu_backward(d_act, cache.pre_relu)
-        dw_in = _per_expert(_t(cache.expert_in), dh)
-        d_expert_in = _per_expert(dh, _t(cache.w_in))
+        dw_in = _t(cache.expert_in) @ dh
+        d_expert_in = dh @ _t(cache.w_in)
     dx = slots.scatter(d_expert_in)
     return dx, d_gate, dw_in, dw_out
 
@@ -485,15 +501,15 @@ def switch_ffn_bwd(
 
 @dataclass
 class MoeCache:
+    """Top-k backward state; every rank's slots sit in the one ``buffers``."""
+
     plans: list[DispatchPlan]
     stats: LoadBalanceStats
-    buffers: list[_ExpertBufferCache]
+    buffers: _ExpertBufferCache
     all_dropped: np.ndarray
     w_router: np.ndarray
     alpha: float
     renormalize: bool
-    gate_norm: np.ndarray | None  # [T] sum of selected probs when renormalizing
-    raw_gates: np.ndarray | None  # [T, k] pre-renormalization gates
 
 
 def moe_topk_ffn_fwd(
@@ -508,6 +524,8 @@ def moe_topk_ffn_fwd(
 ) -> tuple[LayerOutput, MoeCache]:
     """Top-k forward pass plus its cache.
 
+    The k ranks share each expert's capacity budget, rank-major, so one
+    [E, C, d] buffer holds all of them and the experts run once per layer.
     ``frozen_plans`` (a previous cache's ``plans``) re-uses every rank's
     expert choice, drop flags and slot positions while gates are recomputed
     from the current inputs and weights, as ``switch_ffn_fwd``'s
@@ -552,48 +570,30 @@ def moe_topk_ffn_fwd(
         else:
             choice = frozen_plans[r].expert_index
             position = frozen_plans[r].position_in_expert
-        plans.append(
-            DispatchPlan(
-                expert_index=choice,
-                gate=probs[rows, choice],
-                position_in_expert=position,
-                dropped=position < 0,
-                capacity=capacity,
-                router_probs=probs,
-                router_inputs=plan0.router_inputs,
-                policy_scale=plan0.policy_scale,
-            )
-        )
+        plans.append(replace(
+            plan0, expert_index=choice, gate=probs[rows, choice],
+            position_in_expert=position, dropped=position < 0,
+        ))
 
-    gate_norm = None
-    raw_gates = None
     if renormalize:
-        raw_gates = np.stack([p.gate.copy() for p in plans], axis=1)
-        gate_norm = raw_gates.sum(axis=1)
+        gate_norm = np.stack([p.gate for p in plans], axis=1).sum(axis=1)
         for p in plans:
             p.gate = p.gate / gate_norm
 
-    y = None
-    buffers = []
-    for r, p in enumerate(plans):
-        label = "expert_dropout" if r == 0 else f"expert_dropout_rank{r}"
-        y_r, buf = _expert_buffers_fwd(
-            x, _Slots.from_plan(p, router_config.selective_precision),
-            params.w_in, params.w_out,
-            params.expert_dropout_rate, rng.substream(label), mode,
-        )
-        buffers.append(buf)
-        y = y_r if y is None else y + y_r
+    # Each slot holds one assignment, so one dropout mask covers every rank.
+    y, buffers = _expert_buffers_fwd(
+        x, _Slots.from_plans(plans, router_config.selective_precision),
+        params.w_in, params.w_out,
+        params.expert_dropout_rate, rng.substream("expert_dropout"), mode,
+    )
 
     all_dropped = np.logical_and.reduce([p.dropped for p in plans])
-    if all_dropped.any():
-        y = y.copy()
-        y[all_dropped] = x[all_dropped]
+    y[all_dropped] = x[all_dropped]
 
     out = LayerOutput(y, stats.aux_loss, stats, float(all_dropped.mean()))
     cache = MoeCache(
         plans, stats, buffers, all_dropped, np.asarray(params.w_router),
-        router_config.alpha, renormalize, gate_norm, raw_gates,
+        router_config.alpha, renormalize,
     )
     return out, cache
 
@@ -610,8 +610,10 @@ def moe_topk_ffn(
     """Top-k mixture: y = sum over surviving assignments of p_i(x) * E_i(x).
 
     Gates come from the full softmax and are not renormalized over the
-    selected set unless ``renormalize`` is set. A token falls back to the
-    residual passthrough only when every one of its k assignments overflows.
+    selected set unless ``renormalize`` is set. The k ranks share one
+    capacity buffer of C slots per expert: rank r takes only the slots that
+    ranks before it left free. A token falls back to the residual
+    passthrough only when every one of its k assignments overflows.
     """
     out, _ = moe_topk_ffn_fwd(x, params, k, router_config, rng, mode, renormalize)
     return out
@@ -620,45 +622,30 @@ def moe_topk_ffn(
 def moe_topk_ffn_bwd(
     grad_y: np.ndarray, cache: MoeCache, aux_weight: float = 1.0
 ) -> dict[str, np.ndarray]:
-    plans, buffers = cache.plans, cache.buffers
+    plans = cache.plans
     num_tokens, n = plans[0].router_probs.shape
     probs = plans[0].router_probs
 
-    dx = np.zeros_like(grad_y)
-    dw_in = np.zeros_like(buffers[0].w_in)
-    dw_out = None if buffers[0].linear else np.zeros_like(buffers[0].w_out)
-    d_probs = np.zeros_like(probs)
-
-    g = grad_y
-    if cache.all_dropped.any():
-        g = grad_y.copy()
-        g[cache.all_dropped] = 0.0
-
+    # Tokens that every rank dropped hold no slot, so the experts never read
+    # their rows of grad_y; the passthrough sends those rows straight to x.
+    dx, d_gate, dw_in, dw_out = _expert_buffers_bwd(grad_y, cache.buffers)
+    dx[cache.all_dropped] += grad_y[cache.all_dropped]
+    slots = cache.buffers.slots
     d_gates = np.zeros((num_tokens, len(plans)))
-    for r, buf in enumerate(buffers):
-        dx_r, d_gate, dw_in_r, dw_out_r = _expert_buffers_bwd(g, buf)
-        dx += dx_r
-        dw_in += dw_in_r
-        if dw_out is not None:
-            dw_out += dw_out_r
-        d_gates[buf.slots.token, r] = d_gate
+    d_gates[slots.token, np.repeat(np.arange(len(plans)), np.diff(slots.offsets))] = d_gate
 
-    # Each rank indexes every row once, so one fancy-index += per rank
-    # accumulates without collisions.
-    rows = np.arange(num_tokens)
+    rows = np.arange(num_tokens)[:, None]
+    choices = np.stack([p.expert_index for p in plans], axis=1)
     if cache.renormalize:
         # gate_r = raw_r / sum(raw); raw_r = probs[t, choice_r].
-        s = cache.gate_norm
-        raw = cache.raw_gates
-        weighted = (d_gates * raw).sum(axis=1)  # sum_r d_gate_r * raw_r
-        for r, p in enumerate(plans):
-            d_probs[rows, p.expert_index] += d_gates[:, r] / s - weighted / (s * s)
-    else:
-        for r, p in enumerate(plans):
-            d_probs[rows, p.expert_index] += d_gates[:, r]
-
-    if cache.all_dropped.any():
-        dx[cache.all_dropped] += grad_y[cache.all_dropped]
+        raw = probs[rows, choices]
+        s = raw.sum(axis=1, keepdims=True)
+        weighted = (d_gates * raw).sum(axis=1, keepdims=True)
+        d_gates = d_gates / s - weighted / (s * s)
+    # A token's k choices are distinct experts, so the fancy-index += writes
+    # every (row, expert) cell at most once.
+    d_probs = np.zeros_like(probs)
+    d_probs[rows, choices] += d_gates
 
     if aux_weight != 0.0 and cache.alpha != 0.0:
         d_probs += aux_weight * cache.alpha * n * cache.stats.f / num_tokens

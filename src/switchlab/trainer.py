@@ -445,7 +445,6 @@ class ModelCache:
     post_attn: list[np.ndarray]
     ffn_caches: list
     final_hidden: np.ndarray
-    layer_mode: str
 
 
 @dataclass
@@ -457,15 +456,11 @@ class ForwardResult:
     cache: ModelCache
 
 
-def _layer_mode(config: TrainConfig, training: bool) -> str:
-    return "train" if training else "eval"
-
-
 def model_fwd(
     model: ToyModel, input_ids: np.ndarray, rng: RngStream, training: bool = True
 ) -> ForwardResult:
     config = model.config
-    mode = _layer_mode(config, training)
+    mode = "train" if training else "eval"
     s, l = input_ids.shape
     d = config.d_model
     dropout, _ = config.resolved_dropout()
@@ -522,7 +517,7 @@ def model_fwd(
     )
     logits = logits.reshape(s, l, -1)
 
-    cache = ModelCache(input_ids, block_inputs, attn_caches, post_attn, ffn_caches, h, mode)
+    cache = ModelCache(input_ids, block_inputs, attn_caches, post_attn, ffn_caches, h)
     return ForwardResult(
         logits,
         aux_total,

@@ -1,20 +1,50 @@
 """Command-line self-checks (gradient suite, mesh simulator check) and checkpoint files."""
 
+import inspect
 import json
 import struct
 
+import numpy as np
 import pytest
 
-from switchlab import cli
+from switchlab import cli, switch_layer, tensor_core
 from switchlab.router import RouterConfig
 from switchlab.tensor_core import InvalidArgumentError, RngStream
 from switchlab.trainer import AdamState, TrainConfig, build_model, named_parameters, train
 
 
+# Cases whose experts apply a relu: finite differences are only valid away
+# from its kink.
+RELU_EXPERT_CASES = ("switch_ffn", "moe_top2_ffn", "moe_top2_ffn_renormalized")
+PROBE_STEP = inspect.signature(tensor_core.grad_check).parameters["h"].default
+
+
 @pytest.mark.parametrize(
-    "check", [pytest.param(check, id=name) for name, check in cli._gradient_checks()]
+    "name, check", [pytest.param(name, check, id=name) for name, check in cli._gradient_checks()]
 )
-def test_gradient_suite(check):
+def test_gradient_suite(name, check, monkeypatch):
+    if name in RELU_EXPERT_CASES:
+        forwards = []
+        buffers_fwd = switch_layer._expert_buffers_fwd
+
+        def recording_fwd(*args):
+            y, cache = buffers_fwd(*args)
+            forwards.append(cache)
+            return y, cache
+
+        def kink_free_grad_check(f, params, h=PROBE_STEP, **kwargs):
+            # Evaluate the case once at the probed point, before any probe.
+            f([np.asarray(p, dtype=np.float64) for p in params])
+            assert forwards, name
+            for cache in forwards:
+                pre = cache.pre_relu[cache.slots.expert, cache.slots.slot]
+                assert np.abs(pre).min() >= 10 * h, (
+                    f"{name}: an occupied slot's pre-activation is within 10 h of the relu kink"
+                )
+            return tensor_core.grad_check(f, params, h=h, **kwargs)
+
+        monkeypatch.setattr(switch_layer, "_expert_buffers_fwd", recording_fwd)
+        monkeypatch.setattr(cli, "grad_check", kink_free_grad_check)
     report = check()
     assert report.passed, report.details
 
@@ -154,6 +184,34 @@ def test_load_checkpoint_rejects_bad_tensor_record(tmp_path, edit, capsys):
     path = _saved_checkpoint(tmp_path)
     _edit_header(path, edit)
     with pytest.raises(cli.CorruptCheckpointError):
+        cli.load_checkpoint(str(path))
+    _resume_exits_2(tmp_path, path, capsys)
+
+
+def _record(header, name):
+    (rec,) = [r for r in header["tensors"] if r["name"] == name]
+    return rec
+
+
+def _repeat_name(header):
+    # w_k and w_o have one shape; the renamed record keeps w_o's own bytes.
+    _record(header, "block0.attn.w_o")["name"] = "block0.attn.w_k"
+
+
+def _share_bytes(header):
+    w_k, w_o = _record(header, "block0.attn.w_k"), _record(header, "block0.attn.w_o")
+    w_k["offset"] = w_o["offset"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_repeat_name, "repeats the name 'block0.attn.w_k'"), (_share_bytes, "share payload bytes")],
+    ids=["repeated_name", "overlapping_payloads"],
+)
+def test_load_checkpoint_rejects_aliased_tensor_records(tmp_path, edit, message, capsys):
+    path = _saved_checkpoint(tmp_path)
+    _edit_header(path, edit)
+    with pytest.raises(cli.CorruptCheckpointError, match=message):
         cli.load_checkpoint(str(path))
     _resume_exits_2(tmp_path, path, capsys)
 

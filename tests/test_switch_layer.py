@@ -3,7 +3,9 @@
 The layers place tokens into expert slots by index. The reference here is
 the one-hot [tokens, experts, capacity] form from ``build_dispatch_combine``,
 gathered and scattered with einsums; swapping it in for the index kernel
-must leave every output and gradient bit-identical.
+must leave every output and gradient bit-identical. The top-k layer runs
+all its ranks through one shared buffer; its reference runs each rank
+through its own one-hot buffers and sums them.
 """
 
 from dataclasses import dataclass, fields, is_dataclass
@@ -32,14 +34,13 @@ from switchlab.switch_layer import (
     dense_ffn,
     init_attention_weights,
     init_switch_layer_params,
-    moe_topk_ffn,
     moe_topk_ffn_bwd,
     moe_topk_ffn_fwd,
     switch_ffn,
     switch_ffn_bwd,
     switch_ffn_fwd,
 )
-from switchlab.tensor_core import RngStream, relu, relu_backward
+from switchlab.tensor_core import RngStream, relu, relu_backward, softmax_backward
 
 D_MODEL, D_FF, EXPERTS = 16, 24, 4
 
@@ -132,6 +133,87 @@ def index_and_onehot(monkeypatch, run):
     return got, want
 
 
+def per_rank_topk(x, params, cfg, cache, grad_y, rng, mode):
+    """The top-k layer with every rank in its own one-hot [E, C, ·] buffers.
+
+    Outputs and gradients are summed rank by rank; the expert weight
+    gradients accumulate in the weights' dtype. Routing (plans, gate
+    normalization, balance stats) is read from the layer's ``cache``. Every
+    rank applies the layer's one expert-dropout draw, which is what a shared
+    buffer draws, since each of its slots holds one assignment.
+    """
+    plans = cache.plans
+    ranks = [
+        onehot_buffers_fwd(
+            x, OneHotSlots.from_plan(p, cfg.selective_precision), params.w_in, params.w_out,
+            params.expert_dropout_rate, rng.substream("expert_dropout"), mode,
+        )
+        for p in plans
+    ]
+    y = ranks[0][0]
+    for y_r, _ in ranks[1:]:
+        y = y + y_r
+    y[cache.all_dropped] = x[cache.all_dropped]
+
+    num_tokens, n = plans[0].router_probs.shape
+    g = grad_y.copy()
+    g[cache.all_dropped] = 0.0
+    dx = np.zeros_like(grad_y)
+    dw_in = np.zeros_like(params.w_in)
+    dw_out = None if params.w_out is None else np.zeros_like(params.w_out)
+    d_gates = np.zeros((num_tokens, len(plans)))
+    for r, (_, c) in enumerate(ranks):
+        dx_r, d_gate, dw_in_r, dw_out_r = onehot_buffers_bwd(g, c)
+        dx += dx_r
+        dw_in += dw_in_r
+        if dw_out is not None:
+            dw_out += dw_out_r
+        d_gates[c.slots.token, r] = d_gate
+
+    rows = np.arange(num_tokens)
+    d_probs = np.zeros_like(plans[0].router_probs)
+    raw = np.stack([plans[0].router_probs[rows, p.expert_index] for p in plans], axis=1)
+    for r, p in enumerate(plans):
+        d_gate = d_gates[:, r]
+        if cache.renormalize:
+            s = raw.sum(axis=1)
+            d_gate = d_gate / s - (d_gates * raw).sum(axis=1) / (s * s)
+        d_probs[rows, p.expert_index] += d_gate
+    dx[cache.all_dropped] += grad_y[cache.all_dropped]
+    d_probs += cfg.alpha * n * cache.stats.f / num_tokens
+    d_logits = softmax_backward(d_probs, plans[0].router_probs)
+    dx_router = d_logits @ params.w_router.T
+    if plans[0].policy_scale is not None:
+        dx_router = dx_router * plans[0].policy_scale
+    return {
+        "y": y, "x": dx + dx_router, "w_router": plans[0].router_inputs.T @ d_logits,
+        "w_in": dw_in, "w_out": dw_out,
+    }
+
+
+def shared_and_per_rank(x, params, k, cfg, seed, mode, renormalize=False):
+    """The top-k layer and its per-rank reference, from one forward pass."""
+    out, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(seed), mode, renormalize)
+    grad_y = grad_of(out.y)
+    got = {"y": out.y, **moe_topk_ffn_bwd(grad_y, cache)}
+    return got, per_rank_topk(x, params, cfg, cache, grad_y, RngStream(seed), mode)
+
+
+def assert_shared_buffer_matches(got, want):
+    """Bitwise except the expert weight gradients, which sum every rank in
+    one product where the reference rounds a float32 sum per rank."""
+    assert_bitwise(
+        {key: got[key] for key in ("y", "x", "w_router")},
+        {key: want[key] for key in ("y", "x", "w_router")},
+    )
+    for key in ("w_in", "w_out"):
+        if want[key] is None:
+            assert got[key] is None, key
+            continue
+        err = np.abs(got[key] - want[key].astype(got[key].dtype)).max()
+        assert err <= 1e-6 * np.abs(want[key]).max(), f"{key}: max diff {err}"
+
+
 def assert_bitwise(got, want):
     assert got.keys() == want.keys()
     for key in want:
@@ -179,21 +261,17 @@ class TestIndexKernelMatchesOneHot:
 
         assert_bitwise(*index_and_onehot(monkeypatch, run))
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("renormalize", [False, True])
     @pytest.mark.parametrize("selective_precision", [False, True])
-    def test_moe_topk_ffn(self, monkeypatch, k, renormalize, selective_precision):
+    def test_moe_topk_ffn(self, k, renormalize, selective_precision):
         x, params = make_case(dropout=0.3)
         cfg = RouterConfig(
             EXPERTS, capacity_factor=1.0, policy="input_jitter",
             selective_precision=selective_precision,
         )
-
-        def run():
-            out, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(5), "train", renormalize)
-            return {"y": out.y, **moe_topk_ffn_bwd(grad_of(out.y), cache)}
-
-        assert_bitwise(*index_and_onehot(monkeypatch, run))
+        got, want = shared_and_per_rank(x, params, k, cfg, 5, "train", renormalize)
+        assert_shared_buffer_matches(got, want)
 
     @pytest.mark.parametrize("selective_precision", [False, True])
     def test_linear_attention_experts(self, monkeypatch, selective_precision):
@@ -227,7 +305,7 @@ class TestIndexKernelMatchesOneHot:
         assert_bitwise(*index_and_onehot(monkeypatch, run))
 
     @pytest.mark.parametrize("selective_precision", [False, True])
-    def test_zero_gate_leaves_its_slot_empty(self, monkeypatch, selective_precision):
+    def test_zero_gate_leaves_its_slot_empty(self, selective_precision):
         # Two experts 200 logits apart: the second choice's probability
         # underflows to exactly 0, yet capacity keeps it.
         x = np.abs(make_case(num_tokens=32)[0])
@@ -237,16 +315,12 @@ class TestIndexKernelMatchesOneHot:
         params = SwitchLayerParams(w_router, base.w_in, base.w_out)
         cfg = RouterConfig(2, capacity_factor=2.0, selective_precision=selective_precision)
 
-        def run():
-            out, cache = moe_topk_ffn_fwd(x, params, 2, cfg, RngStream(0), "eval")
-            second = cache.plans[1]
-            assert not second.dropped.any() and (second.gate == 0).all()
-            return {"y": out.y, **moe_topk_ffn_bwd(grad_of(out.y), cache)}
-
-        got, want = index_and_onehot(monkeypatch, run)
-        assert_bitwise(got, want)
         _, cache = moe_topk_ffn_fwd(x, params, 2, cfg, RngStream(0), "eval")
-        assert cache.buffers[1].slots.token.size == 0
+        second = cache.plans[1]
+        assert not second.dropped.any() and (second.gate == 0).all()
+        slots = cache.buffers.slots
+        assert slots.offsets[2] == slots.offsets[1] == slots.token.size == 32
+        assert_shared_buffer_matches(*shared_and_per_rank(x, params, 2, cfg, 0, "eval"))
 
     def test_every_token_dropped(self, monkeypatch):
         x, params = make_case()
@@ -263,16 +337,11 @@ class TestIndexKernelMatchesOneHot:
         assert_bitwise(*index_and_onehot(monkeypatch, run))
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_capacity_one(self, monkeypatch, k):
+    def test_capacity_one(self, k):
         x, params = make_case(dropout=0.3)
         cfg = RouterConfig(EXPERTS, capacity_factor=0.01)
         assert expert_capacity(x.shape[0], EXPERTS, 0.01) == 1
-
-        def run():
-            out, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(3), "train")
-            return {"y": out.y, **moe_topk_ffn_bwd(grad_of(out.y), cache)}
-
-        assert_bitwise(*index_and_onehot(monkeypatch, run))
+        assert_shared_buffer_matches(*shared_and_per_rank(x, params, k, cfg, 3, "train"))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +355,18 @@ class TestEquivalences:
         x, params = make_case(dropout=0.3)
         cfg = RouterConfig(EXPERTS, capacity_factor=1.0, policy="input_jitter", ntlb_stages=1)
         rng_moe, rng_switch = RngStream(8), RngStream(8)
-        moe = moe_topk_ffn(x, params, 1, cfg, rng_moe, mode)
-        switch = switch_ffn(x, params, cfg, rng_switch, mode)
+        moe, moe_cache = moe_topk_ffn_fwd(x, params, 1, cfg, rng_moe, mode)
+        switch, switch_cache = switch_ffn_fwd(x, params, cfg, rng_switch, mode)
         assert np.array_equal(moe.y, switch.y)
         assert moe.aux_loss == switch.aux_loss
         assert moe.dropped_fraction == switch.dropped_fraction
         assert rng_moe.state() == rng_switch.state()
+        # A float64 upstream gradient on float32 weights: every gradient,
+        # dtype included, is the switch layer's.
+        grad_y = np.cos(moe.y).astype(np.float64)
+        assert_bitwise(
+            moe_topk_ffn_bwd(grad_y, moe_cache), switch_ffn_bwd(grad_y, switch_cache)
+        )
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_single_expert_switch_is_dense_ffn(self, mode):
@@ -332,7 +407,7 @@ class TestEquivalences:
         )
         assert np.array_equal(again.y, out.y)
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_caches_hold_no_one_hot_tensor(self, k):
         x, params = make_case(num_tokens=64)
         cfg = RouterConfig(EXPERTS)
@@ -343,6 +418,41 @@ class TestEquivalences:
         for cache in (switch_cache, moe_cache):
             sizes = list(_array_sizes(cache))
             assert sizes and one_hot_size not in sizes
+        # Every rank shares one [E, C, d] input buffer.
+        inputs = [
+            b.expert_in for b in _dataclasses(moe_cache) if isinstance(b, sl._ExpertBufferCache)
+        ]
+        assert [a.shape for a in inputs] == [(EXPERTS, capacity, D_MODEL)]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("ntlb_stages", [0, 2])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_merged_slot_map_holds_each_slot_once(self, k, ntlb_stages, frozen):
+        x, params = make_case(num_tokens=512)
+        cfg = RouterConfig(EXPERTS, capacity_factor=1.0, ntlb_stages=ntlb_stages)
+        _, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(0), "train")
+        if frozen:
+            _, cache = moe_topk_ffn_fwd(
+                x, params, k, cfg, RngStream(1), "train", frozen_plans=cache.plans
+            )
+        slots = cache.buffers.slots
+        capacity = cache.plans[0].capacity
+        assert len(slots.offsets) == k + 1 and slots.offsets[-1] == slots.token.size
+        assert ((slots.slot >= 0) & (slots.slot < capacity)).all()
+        pairs = set(zip(slots.expert.tolist(), slots.slot.tolist()))
+        assert len(pairs) == slots.token.size <= EXPERTS * capacity
+        for lo, hi in zip(slots.offsets, slots.offsets[1:]):
+            assert np.unique(slots.token[lo:hi]).size == hi - lo
+
+
+def _dataclasses(obj):
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _dataclasses(item)
+    elif is_dataclass(obj):
+        yield obj
+        for f in fields(obj):
+            yield from _dataclasses(getattr(obj, f.name))
 
 
 def _array_sizes(obj):
