@@ -31,13 +31,8 @@ from .tensor_core import InvalidArgumentError, RngStream, relu
 __all__ = [
     "STRATEGIES",
     "MeshLayout",
-    "ShardedTensor",
     "CommRecord",
     "make_mesh",
-    "shard",
-    "unshard",
-    "all_reduce",
-    "all_to_all",
     "run_sharded_switch_layer",
     "comm_cost_report",
     "comm_report_to_csv",
@@ -60,10 +55,6 @@ class MeshLayout:
     num_experts: int | None = None
 
     @property
-    def total_cores(self) -> int:
-        return self.n * self.m
-
-    @property
     def expert_sharded(self) -> bool:
         return "expert" in self.strategy
 
@@ -73,12 +64,11 @@ def make_mesh(
     m: int,
     strategy: str,
     num_experts: int | None = None,
-    allow_expert_mismatch: bool = False,
 ) -> MeshLayout:
     """Validate and build a mesh layout.
 
     Expert strategies place one expert per data-parallel row, so they require
-    ``num_experts == n`` unless explicitly overridden.
+    ``num_experts == n``.
     """
     if n < 1 or m < 1:
         raise InvalidArgumentError(f"mesh dimensions must be >= 1, got n={n}, m={m}")
@@ -93,7 +83,7 @@ def make_mesh(
     if "expert" in strategy:
         if num_experts is None:
             raise InvalidArgumentError("expert strategies require num_experts")
-        if num_experts != n and not allow_expert_mismatch:
+        if num_experts != n:
             raise InvalidArgumentError(
                 f"expert strategies place one expert per data-parallel way; "
                 f"got num_experts={num_experts} with n={n}"
@@ -102,23 +92,8 @@ def make_mesh(
 
 
 # ---------------------------------------------------------------------------
-# Sharded tensors and collectives
+# Collectives
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardedTensor:
-    """Per-core blocks of one logical tensor.
-
-    ``split_axis`` names the axis the logical tensor was cut along (None for
-    replicated or partial-sum blocks); ``partial`` marks blocks that must be
-    summed elementwise to recover the logical value.
-    """
-
-    blocks: list[np.ndarray]
-    split_axis: int | None
-    logical_shape: tuple[int, ...]
-    partial: bool = False
 
 
 @dataclass(frozen=True)
@@ -135,28 +110,6 @@ class CommRecord:
         return self.elements * self.width_bytes
 
 
-def shard(x: np.ndarray, axis: int, ways: int) -> ShardedTensor:
-    x = np.asarray(x)
-    if x.shape[axis] % ways != 0:
-        raise InvalidArgumentError(
-            f"axis {axis} extent {x.shape[axis]} not divisible by {ways} ways"
-        )
-    blocks = [b.copy() for b in np.split(x, ways, axis=axis)]
-    return ShardedTensor(blocks, axis, x.shape)
-
-
-def unshard(st: ShardedTensor) -> np.ndarray:
-    if st.partial:
-        return _tree_sum(st.blocks)
-    if st.split_axis is None:
-        out = st.blocks[0]
-        for b in st.blocks[1:]:
-            if not np.array_equal(b, out):
-                raise InvalidArgumentError("replicated blocks disagree")
-        return out.copy()
-    return np.concatenate(st.blocks, axis=st.split_axis)
-
-
 def _tree_sum(blocks: list[np.ndarray]) -> np.ndarray:
     """Deterministic pairwise reduction in fixed core order."""
     work = [b.copy() for b in blocks]
@@ -168,58 +121,6 @@ def _tree_sum(blocks: list[np.ndarray]) -> np.ndarray:
             nxt.append(work[-1])
         work = nxt
     return work[0]
-
-
-def all_reduce(
-    shards, width_bytes: int = FLOAT32_BYTES, comm_pass: str = "forward"
-) -> tuple[ShardedTensor, CommRecord]:
-    """Sum same-shaped partial blocks; afterwards every core holds the total.
-
-    The blocks are the per-core partial results of a contraction whose summed
-    dimension was partitioned across cores. Communication volume is the
-    per-core block size (zero when only one core participates).
-    """
-    blocks = shards.blocks if isinstance(shards, ShardedTensor) else list(shards)
-    if not blocks:
-        raise InvalidArgumentError("all_reduce requires at least one block")
-    shape = blocks[0].shape
-    for b in blocks[1:]:
-        if b.shape != shape:
-            raise InvalidArgumentError(
-                f"all_reduce blocks must share a shape; got {shape} and {b.shape} "
-                "(the summed dimension is not sharded consistently)"
-            )
-    total = _tree_sum(blocks)
-    elements = 0 if len(blocks) == 1 else int(total.size)
-    record = CommRecord("all_reduce", elements, width_bytes, comm_pass)
-    result = ShardedTensor([total.copy() for _ in blocks], None, shape, partial=False)
-    return result, record
-
-
-def all_to_all(
-    shards, width_bytes: int = FLOAT32_BYTES, comm_pass: str = "forward"
-) -> tuple[ShardedTensor, CommRecord]:
-    """Regroup expert-grouped blocks from an n-split to an E-split.
-
-    Core i enters holding a block whose leading axis enumerates experts
-    ([E, C, d]-style); core e leaves holding expert e's slots from every
-    source core ([n, C, d]). Requires E == number of cores; applying the op
-    twice returns the original grouping.
-    """
-    blocks = shards.blocks if isinstance(shards, ShardedTensor) else list(shards)
-    n = len(blocks)
-    shape = blocks[0].shape
-    for b in blocks:
-        if b.shape != shape:
-            raise InvalidArgumentError("all_to_all blocks must share a shape")
-    if shape[0] != n:
-        raise InvalidArgumentError(
-            f"all_to_all: leading axis {shape[0]} must match core count {n}"
-        )
-    out_blocks = [np.stack([blocks[i][e] for i in range(n)]) for e in range(n)]
-    elements = 0 if n == 1 else int(np.prod(shape))
-    record = CommRecord("all_to_all", elements, width_bytes, comm_pass)
-    return ShardedTensor(out_blocks, 0, shape, partial=False), record
 
 
 # ---------------------------------------------------------------------------

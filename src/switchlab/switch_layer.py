@@ -2,8 +2,9 @@
 
 The switch FFN routes every token to one expert feed-forward network and
 scales that expert's output by the router gate; tokens that overflow an
-expert's slot budget pass through unchanged. A dense FFN baseline, a top-k
-mixture baseline, and an attention variant whose query projection is
+expert's slot budget pass through unchanged. It is the top-k mixture layer
+at k = 1, and both run one routed-FFN forward and one backward pass. A
+dense FFN baseline and an attention variant whose query projection is
 expert-routed share the same building blocks.
 
 Every layer comes in two flavors: a plain forward (``dense_ffn``,
@@ -24,9 +25,7 @@ from .router import (
     DispatchPlan,
     LoadBalanceStats,
     RouterConfig,
-    expert_capacity,
     fill_slots,
-    load_balance_loss_backward,
     route,
 )
 from .tensor_core import (
@@ -408,100 +407,13 @@ def _expert_buffers_bwd(
 
 
 # ---------------------------------------------------------------------------
-# Switch FFN
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SwitchFfnCache:
-    plan: DispatchPlan
-    stats: LoadBalanceStats
-    buffers: _ExpertBufferCache
-    w_router: np.ndarray
-    alpha: float
-
-
-def switch_ffn_fwd(
-    x: np.ndarray,
-    params: SwitchLayerParams,
-    router_config: RouterConfig,
-    rng: RngStream,
-    mode: str = "train",
-    frozen_plan: DispatchPlan | None = None,
-) -> tuple[LayerOutput, SwitchFfnCache]:
-    x = np.asarray(x)
-    plan, stats = route(
-        x, params.w_router, router_config, rng.substream("route"), mode,
-        frozen_assignment=frozen_plan,
-    )
-    y, buffers = _expert_buffers_fwd(
-        x, _Slots.from_plan(plan, router_config.selective_precision),
-        params.w_in, params.w_out,
-        params.expert_dropout_rate, rng.substream("expert_dropout"), mode,
-    )
-    # Overflowed tokens bypass the layer through the residual path.
-    if plan.dropped.any():
-        y = y.copy()
-        y[plan.dropped] = x[plan.dropped]
-    out = LayerOutput(y, stats.aux_loss, stats, float(plan.dropped.mean()))
-    return out, SwitchFfnCache(plan, stats, buffers, np.asarray(params.w_router), router_config.alpha)
-
-
-def switch_ffn(
-    x: np.ndarray,
-    params: SwitchLayerParams,
-    router_config: RouterConfig,
-    rng: RngStream,
-    mode: str = "train",
-) -> LayerOutput:
-    """Route, run one expert per token, and gate-scale the outputs."""
-    out, _ = switch_ffn_fwd(x, params, router_config, rng, mode)
-    return out
-
-
-def switch_ffn_bwd(
-    grad_y: np.ndarray, cache: SwitchFfnCache, aux_weight: float = 1.0
-) -> dict[str, np.ndarray]:
-    """Returns grads for x, w_router, w_in, w_out.
-
-    ``aux_weight`` scales the balance-loss contribution (the trainer adds the
-    aux term to the total loss with weight 1). The expert assignment, drop
-    flags and f-vector are constants of the backward pass.
-    """
-    plan, buffers = cache.plan, cache.buffers
-    dx, d_gate, dw_in, dw_out = _expert_buffers_bwd(grad_y, buffers)
-
-    if plan.dropped.any():
-        # Expert-path contribution is zero for dropped rows (they hold no
-        # slot); the passthrough writes grad_y straight onto x.
-        dx[plan.dropped] += grad_y[plan.dropped]
-
-    d_probs = np.zeros_like(plan.router_probs)
-    slots = buffers.slots
-    # Gate path: the slot's gate is probs[t, e_t] (straight-through the bf16
-    # quantization when selective precision is on).
-    d_probs[slots.token, slots.expert] = d_gate
-    if aux_weight != 0.0 and cache.alpha != 0.0:
-        num_tokens, n = plan.router_probs.shape
-        d_probs += aux_weight * cache.alpha * n * cache.stats.f / num_tokens
-
-    d_logits = softmax_backward(d_probs, plan.router_probs)
-    dw_router = plan.router_inputs.T @ d_logits
-    dx_router = d_logits @ cache.w_router.T
-    if plan.policy_scale is not None:
-        dx_router = dx_router * plan.policy_scale
-    dx = dx + dx_router
-    return {"x": dx, "w_router": dw_router, "w_in": dw_in, "w_out": dw_out}
-
-
-# ---------------------------------------------------------------------------
-# Top-k mixture baseline
+# Routed FFN: top-k mixture, with the switch FFN as k = 1
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class MoeCache:
-    """Top-k backward state; every rank's slots sit in the one ``buffers``."""
+    """Routed-FFN backward state; every rank's slots sit in the one ``buffers``."""
 
     plans: list[DispatchPlan]
     stats: LoadBalanceStats
@@ -512,24 +424,23 @@ class MoeCache:
     renormalize: bool
 
 
-def moe_topk_ffn_fwd(
+def _routed_ffn_fwd(
     x: np.ndarray,
     params: SwitchLayerParams,
     k: int,
     router_config: RouterConfig,
     rng: RngStream,
-    mode: str = "train",
-    renormalize: bool = False,
-    frozen_plans: list[DispatchPlan] | None = None,
+    mode: str,
+    renormalize: bool,
+    frozen_plans: list[DispatchPlan] | None,
 ) -> tuple[LayerOutput, MoeCache]:
-    """Top-k forward pass plus its cache.
+    """Route every token to its k best experts and gate-scale their outputs.
 
     The k ranks share each expert's capacity budget, rank-major, so one
     [E, C, d] buffer holds all of them and the experts run once per layer.
     ``frozen_plans`` (a previous cache's ``plans``) re-uses every rank's
     expert choice, drop flags and slot positions while gates are recomputed
-    from the current inputs and weights, as ``switch_ffn_fwd``'s
-    ``frozen_plan`` does for one rank.
+    from the current inputs and weights.
     """
     x = np.asarray(x)
     n = router_config.num_experts
@@ -542,8 +453,8 @@ def moe_topk_ffn_fwd(
             f"moe_topk_ffn: {len(frozen_plans)} frozen plans for k={k}"
         )
 
-    # Rank-0 selection reuses the switch routing path verbatim so that k=1
-    # reproduces switch_ffn bit-for-bit, including rng consumption.
+    # Rank 0 is the switch routing decision: top-1 with the exploration
+    # policy, capacity budgeting and NTLB rescue all inside ``route``.
     plan0, stats = route(
         x, params.w_router, router_config, rng.substream("route"), mode,
         frozen_assignment=None if frozen_plans is None else frozen_plans[0],
@@ -587,6 +498,8 @@ def moe_topk_ffn_fwd(
         params.expert_dropout_rate, rng.substream("expert_dropout"), mode,
     )
 
+    # Tokens whose every assignment overflowed bypass the layer through the
+    # residual path.
     all_dropped = np.logical_and.reduce([p.dropped for p in plans])
     y[all_dropped] = x[all_dropped]
 
@@ -596,6 +509,104 @@ def moe_topk_ffn_fwd(
         router_config.alpha, renormalize,
     )
     return out, cache
+
+
+def _routed_ffn_bwd(
+    grad_y: np.ndarray, cache: MoeCache, aux_weight: float
+) -> dict[str, np.ndarray]:
+    """Returns grads for x, w_router, w_in, w_out.
+
+    ``aux_weight`` scales the balance-loss contribution (the trainer adds the
+    aux term to the total loss with weight 1). The expert assignments, drop
+    flags and f-vector are constants of the backward pass.
+    """
+    plans = cache.plans
+    num_tokens, n = plans[0].router_probs.shape
+    probs = plans[0].router_probs
+
+    # Tokens that every rank dropped hold no slot, so the experts never read
+    # their rows of grad_y; the passthrough sends those rows straight to x.
+    dx, d_gate, dw_in, dw_out = _expert_buffers_bwd(grad_y, cache.buffers)
+    dx[cache.all_dropped] += grad_y[cache.all_dropped]
+    slots = cache.buffers.slots
+    d_gates = np.zeros((num_tokens, len(plans)))
+    d_gates[slots.token, np.repeat(np.arange(len(plans)), np.diff(slots.offsets))] = d_gate
+
+    rows = np.arange(num_tokens)[:, None]
+    choices = np.stack([p.expert_index for p in plans], axis=1)
+    if cache.renormalize:
+        # gate_r = raw_r / sum(raw); raw_r = probs[t, choice_r].
+        raw = probs[rows, choices]
+        s = raw.sum(axis=1, keepdims=True)
+        weighted = (d_gates * raw).sum(axis=1, keepdims=True)
+        d_gates = d_gates / s - weighted / (s * s)
+    # A slot's gate is probs[t, e] (straight-through the bf16 quantization
+    # when selective precision is on). A token's k choices are distinct
+    # experts, so the fancy-index += writes every (row, expert) cell at most
+    # once.
+    d_probs = np.zeros_like(probs)
+    d_probs[rows, choices] += d_gates
+
+    if aux_weight != 0.0 and cache.alpha != 0.0:
+        d_probs += aux_weight * cache.alpha * n * cache.stats.f / num_tokens
+
+    d_logits = softmax_backward(d_probs, probs)
+    dw_router = plans[0].router_inputs.T @ d_logits
+    dx_router = d_logits @ cache.w_router.T
+    if plans[0].policy_scale is not None:
+        dx_router = dx_router * plans[0].policy_scale
+    dx = dx + dx_router
+    return {"x": dx, "w_router": dw_router, "w_in": dw_in, "w_out": dw_out}
+
+
+def switch_ffn_fwd(
+    x: np.ndarray,
+    params: SwitchLayerParams,
+    router_config: RouterConfig,
+    rng: RngStream,
+    mode: str = "train",
+    frozen_plan: DispatchPlan | None = None,
+) -> tuple[LayerOutput, MoeCache]:
+    """The switch FFN forward pass: the routed FFN at k = 1.
+
+    ``frozen_plan`` (a previous cache's ``plans[0]``) holds the expert
+    choice, drop flags and slot positions fixed.
+    """
+    frozen_plans = None if frozen_plan is None else [frozen_plan]
+    return _routed_ffn_fwd(x, params, 1, router_config, rng, mode, False, frozen_plans)
+
+
+def switch_ffn(
+    x: np.ndarray,
+    params: SwitchLayerParams,
+    router_config: RouterConfig,
+    rng: RngStream,
+    mode: str = "train",
+) -> LayerOutput:
+    """Route, run one expert per token, and gate-scale the outputs."""
+    out, _ = switch_ffn_fwd(x, params, router_config, rng, mode)
+    return out
+
+
+def switch_ffn_bwd(
+    grad_y: np.ndarray, cache: MoeCache, aux_weight: float = 1.0
+) -> dict[str, np.ndarray]:
+    """Switch FFN gradients for x, w_router, w_in, w_out; see ``_routed_ffn_bwd``."""
+    return _routed_ffn_bwd(grad_y, cache, aux_weight)
+
+
+def moe_topk_ffn_fwd(
+    x: np.ndarray,
+    params: SwitchLayerParams,
+    k: int,
+    router_config: RouterConfig,
+    rng: RngStream,
+    mode: str = "train",
+    renormalize: bool = False,
+    frozen_plans: list[DispatchPlan] | None = None,
+) -> tuple[LayerOutput, MoeCache]:
+    """Top-k forward pass plus its cache; see ``_routed_ffn_fwd``."""
+    return _routed_ffn_fwd(x, params, k, router_config, rng, mode, renormalize, frozen_plans)
 
 
 def moe_topk_ffn(
@@ -622,41 +633,8 @@ def moe_topk_ffn(
 def moe_topk_ffn_bwd(
     grad_y: np.ndarray, cache: MoeCache, aux_weight: float = 1.0
 ) -> dict[str, np.ndarray]:
-    plans = cache.plans
-    num_tokens, n = plans[0].router_probs.shape
-    probs = plans[0].router_probs
-
-    # Tokens that every rank dropped hold no slot, so the experts never read
-    # their rows of grad_y; the passthrough sends those rows straight to x.
-    dx, d_gate, dw_in, dw_out = _expert_buffers_bwd(grad_y, cache.buffers)
-    dx[cache.all_dropped] += grad_y[cache.all_dropped]
-    slots = cache.buffers.slots
-    d_gates = np.zeros((num_tokens, len(plans)))
-    d_gates[slots.token, np.repeat(np.arange(len(plans)), np.diff(slots.offsets))] = d_gate
-
-    rows = np.arange(num_tokens)[:, None]
-    choices = np.stack([p.expert_index for p in plans], axis=1)
-    if cache.renormalize:
-        # gate_r = raw_r / sum(raw); raw_r = probs[t, choice_r].
-        raw = probs[rows, choices]
-        s = raw.sum(axis=1, keepdims=True)
-        weighted = (d_gates * raw).sum(axis=1, keepdims=True)
-        d_gates = d_gates / s - weighted / (s * s)
-    # A token's k choices are distinct experts, so the fancy-index += writes
-    # every (row, expert) cell at most once.
-    d_probs = np.zeros_like(probs)
-    d_probs[rows, choices] += d_gates
-
-    if aux_weight != 0.0 and cache.alpha != 0.0:
-        d_probs += aux_weight * cache.alpha * n * cache.stats.f / num_tokens
-
-    d_logits = softmax_backward(d_probs, probs)
-    dw_router = plans[0].router_inputs.T @ d_logits
-    dx_router = d_logits @ cache.w_router.T
-    if plans[0].policy_scale is not None:
-        dx_router = dx_router * plans[0].policy_scale
-    dx = dx + dx_router
-    return {"x": dx, "w_router": dw_router, "w_in": dw_in, "w_out": dw_out}
+    """Top-k gradients for x, w_router, w_in, w_out; see ``_routed_ffn_bwd``."""
+    return _routed_ffn_bwd(grad_y, cache, aux_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +647,7 @@ class AttentionCache:
     x: np.ndarray  # [B, L, d]
     weights: AttentionWeights
     config: AttentionConfig
-    q_cache: SwitchFfnCache | None  # switch projection cache (None for dense q)
-    q_plan_dropped: np.ndarray | None
+    q_cache: MoeCache | None  # switch projection cache (None for dense q)
     q: np.ndarray  # [B, L, d]
     k: np.ndarray
     v: np.ndarray
@@ -699,7 +676,7 @@ def attention_fwd(
 ) -> tuple[LayerOutput, AttentionCache]:
     """Multi-head attention forward pass plus its cache.
 
-    ``frozen_q_plan`` (a previous cache's ``q_cache.plan``) holds the routed
+    ``frozen_q_plan`` (a previous cache's ``q_cache.plans[0]``) holds the routed
     query projection's expert choice fixed, as ``switch_ffn_fwd``'s
     ``frozen_plan`` does; it is ignored for dense queries.
     """
@@ -713,7 +690,6 @@ def attention_fwd(
         )
 
     q_cache = None
-    dropped = None
     if q_params is None:
         if weights.w_q is None:
             raise InvalidArgumentError("dense attention requires w_q")
@@ -732,7 +708,6 @@ def attention_fwd(
         q = q_out.y.reshape(b, l, d)
         aux = q_out.aux_loss
         stats = q_out.stats
-        dropped = q_cache.plan.dropped
         dropped_fraction = q_out.dropped_fraction
 
     k = x @ weights.w_k
@@ -746,7 +721,7 @@ def attention_fwd(
     y = ctx @ weights.w_o
 
     out = LayerOutput(y, aux, stats, dropped_fraction)
-    cache = AttentionCache(x, weights, config, q_cache, dropped, q, k, v, attn, ctx)
+    cache = AttentionCache(x, weights, config, q_cache, q, k, v, attn, ctx)
     return out, cache
 
 

@@ -1,14 +1,13 @@
 """Deterministic small-tensor numerics.
 
-Everything downstream builds on this module: a tagged array carrier,
-counter-based random streams, truncated-normal initialization, bfloat16
-emulation, a small vocabulary of primitive ops with hand-written backward
-passes, and a central-finite-difference gradient checker.
+Everything downstream builds on this module: the package's typed errors,
+counter-based random streams, truncated-normal initialization, softmax and
+relu with their backward passes, bfloat16 emulation, and a
+central-finite-difference gradient checker.
 
 Arrays are plain ``np.ndarray`` in float32 (the gradient checker runs the
-same code in float64). There is no autodiff tape: each primitive exposes a
-``*_backward`` sibling, and composite layers chain them by hand so the
-numerics stay auditable.
+same code in float64). There is no autodiff tape: each layer writes its
+backward pass by hand, so the numerics stay auditable.
 """
 
 from __future__ import annotations
@@ -22,32 +21,15 @@ import numpy as np
 __all__ = [
     "InvalidArgumentError",
     "NumericError",
-    "Tensor",
-    "tensor",
     "RngStream",
     "trunc_normal_init",
     "init_weight",
     "softmax",
     "softmax_backward",
     "quantize_bf16",
-    "is_bf16_exact",
-    "matmul",
-    "matmul_backward",
-    "add",
-    "add_backward",
-    "multiply",
-    "multiply_backward",
     "relu",
     "relu_backward",
-    "scale",
-    "scale_backward",
-    "reduce_sum",
-    "reduce_sum_backward",
-    "reduce_mean",
-    "reduce_mean_backward",
     "one_hot",
-    "cumsum",
-    "cumsum_backward",
     "GradReport",
     "grad_check",
 ]
@@ -59,62 +41,6 @@ class InvalidArgumentError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
-
-
-_FLOAT_DTYPES = (np.float32, np.float64)
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise InvalidArgumentError(
-            f"{op}: operand shapes {a.shape} and {b.shape} do not match"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Tagged value carrier
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Tensor:
-    """A dense array plus a precision tag.
-
-    Computation happens on raw arrays; this wrapper exists where the tag is
-    load-bearing: bfloat16-quantized buffers (combine tensors, comm payloads)
-    and checkpoint records. ``precision_tag`` is ``"full"`` or ``"bf16"``;
-    a ``"bf16"`` tensor must hold only values exactly representable in
-    bfloat16 (8-bit exponent, 7-bit mantissa), which is validated here.
-    """
-
-    data: np.ndarray
-    precision_tag: str = "full"
-
-    def __post_init__(self) -> None:
-        self.data = np.asarray(self.data)
-        if self.data.dtype not in _FLOAT_DTYPES:
-            self.data = self.data.astype(np.float32)
-        if self.precision_tag not in ("full", "bf16"):
-            raise InvalidArgumentError(
-                f"precision_tag must be 'full' or 'bf16', got {self.precision_tag!r}"
-            )
-        if self.precision_tag == "bf16" and not is_bf16_exact(self.data):
-            raise InvalidArgumentError(
-                "bf16-tagged tensor holds values not representable in bfloat16"
-            )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
-
-def tensor(values, precision_tag: str = "full") -> Tensor:
-    """Build a float32 Tensor from array-like values."""
-    return Tensor(np.asarray(values, dtype=np.float32), precision_tag)
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +180,8 @@ def quantize_bf16(x):
 
     Storage stays float32; only the value set shrinks. Infinities pass
     through, NaN stays NaN, and finite values beyond the bfloat16 range round
-    to infinity. Given a ``Tensor``, returns a ``Tensor`` tagged ``"bf16"``.
+    to infinity.
     """
-    if isinstance(x, Tensor):
-        return Tensor(quantize_bf16(x.data), "bf16")
     a = np.ascontiguousarray(np.asarray(x, dtype=np.float32))
     bits = a.view(np.uint32).astype(np.uint64)
     # Round-to-nearest-even on the top 16 bits: add 0x7FFF plus the lowest
@@ -270,52 +194,9 @@ def quantize_bf16(x):
     return out
 
 
-def is_bf16_exact(x) -> bool:
-    """True if every element is already representable in bfloat16."""
-    a = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float32)
-    return bool(np.array_equal(quantize_bf16(a), a, equal_nan=True))
-
-
 # ---------------------------------------------------------------------------
-# Primitive ops, forward and backward
+# Relu and one-hot
 # ---------------------------------------------------------------------------
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise InvalidArgumentError(
-            f"matmul: inner dimensions of {a.shape} and {b.shape} do not agree"
-        )
-    return a @ b
-
-
-def matmul_backward(
-    grad_out: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return grad_out @ b.T, a.T @ grad_out
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    _check_same_shape(a, b, "add")
-    return a + b
-
-
-def add_backward(grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return grad_out, grad_out
-
-
-def multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a), np.asarray(b)
-    _check_same_shape(a, b, "multiply")
-    return a * b
-
-
-def multiply_backward(
-    grad_out: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return grad_out * b, grad_out * a
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -324,37 +205,6 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_out * (np.asarray(x) > 0)
-
-
-def scale(x: np.ndarray, c: float) -> np.ndarray:
-    return np.asarray(x) * c
-
-
-def scale_backward(grad_out: np.ndarray, c: float) -> np.ndarray:
-    return grad_out * c
-
-
-def reduce_sum(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    return np.sum(np.asarray(x), axis=axis)
-
-
-def reduce_sum_backward(
-    grad_out: np.ndarray, x_shape: tuple[int, ...], axis: int | None = None
-) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(grad_out, x_shape).copy()
-    return np.broadcast_to(np.expand_dims(grad_out, axis), x_shape).copy()
-
-
-def reduce_mean(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    return np.mean(np.asarray(x), axis=axis)
-
-
-def reduce_mean_backward(
-    grad_out: np.ndarray, x_shape: tuple[int, ...], axis: int | None = None
-) -> np.ndarray:
-    n = int(np.prod(x_shape)) if axis is None else x_shape[axis]
-    return reduce_sum_backward(grad_out, x_shape, axis) / n
 
 
 def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
@@ -367,16 +217,6 @@ def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
     out = np.zeros(idx.shape + (depth,), dtype=np.float32)
     np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
     return out
-
-
-def cumsum(x: np.ndarray, axis: int) -> np.ndarray:
-    return np.cumsum(np.asarray(x), axis=axis)
-
-
-def cumsum_backward(grad_out: np.ndarray, axis: int) -> np.ndarray:
-    # d(cumsum)/dx is lower-triangular, so the backward is a reversed cumsum.
-    g = np.flip(grad_out, axis=axis)
-    return np.flip(np.cumsum(g, axis=axis), axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -491,20 +491,16 @@ def model_fwd(
                 flat, blk.ffn_w_in, blk.ffn_w_out, dropout,
                 rng.substream(f"block{i}.ffn.dropout"), mode,
             )
-        elif blk.ffn_kind == "switch":
-            out, f_cache = switch_ffn_fwd(
-                flat, blk.ffn_switch, model.router_config,
-                rng.substream(f"block{i}.ffn"), mode,
-            )
-            y = out.y
-            aux_total += out.aux_loss
-            dropped.append(out.dropped_fraction)
-            fractions.append(out.stats.f)
-        else:  # moe2
-            out, f_cache = moe_topk_ffn_fwd(
-                flat, blk.ffn_switch, 2, model.router_config,
-                rng.substream(f"block{i}.ffn"), mode,
-            )
+        else:
+            ffn_rng = rng.substream(f"block{i}.ffn")
+            if blk.ffn_kind == "switch":
+                out, f_cache = switch_ffn_fwd(
+                    flat, blk.ffn_switch, model.router_config, ffn_rng, mode
+                )
+            else:  # moe2
+                out, f_cache = moe_topk_ffn_fwd(
+                    flat, blk.ffn_switch, 2, model.router_config, ffn_rng, mode
+                )
             y = out.y
             aux_total += out.aux_loss
             dropped.append(out.dropped_fraction)

@@ -13,9 +13,18 @@ from switchlab.tensor_core import InvalidArgumentError, RngStream
 from switchlab.trainer import AdamState, TrainConfig, build_model, named_parameters, train
 
 
-# Cases whose experts apply a relu: finite differences are only valid away
-# from its kink.
-RELU_EXPERT_CASES = ("switch_ffn", "moe_top2_ffn", "moe_top2_ffn_renormalized")
+def _occupied_slots(cache):
+    return cache.pre_relu[cache.slots.expert, cache.slots.slot]
+
+
+# Cases that apply a relu: finite differences are only valid away from its
+# kink. Each names the forward to record and the pre-activations it probes.
+RELU_CASES = {
+    "dense_ffn": (cli, "dense_ffn_fwd", lambda cache: cache.pre_relu),
+    "switch_ffn": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
+    "moe_top2_ffn": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
+    "moe_top2_ffn_renormalized": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
+}
 PROBE_STEP = inspect.signature(tensor_core.grad_check).parameters["h"].default
 
 
@@ -23,12 +32,13 @@ PROBE_STEP = inspect.signature(tensor_core.grad_check).parameters["h"].default
     "name, check", [pytest.param(name, check, id=name) for name, check in cli._gradient_checks()]
 )
 def test_gradient_suite(name, check, monkeypatch):
-    if name in RELU_EXPERT_CASES:
+    if name in RELU_CASES:
+        module, attr, pre_activations = RELU_CASES[name]
         forwards = []
-        buffers_fwd = switch_layer._expert_buffers_fwd
+        fwd = getattr(module, attr)
 
         def recording_fwd(*args):
-            y, cache = buffers_fwd(*args)
+            y, cache = fwd(*args)
             forwards.append(cache)
             return y, cache
 
@@ -37,13 +47,12 @@ def test_gradient_suite(name, check, monkeypatch):
             f([np.asarray(p, dtype=np.float64) for p in params])
             assert forwards, name
             for cache in forwards:
-                pre = cache.pre_relu[cache.slots.expert, cache.slots.slot]
-                assert np.abs(pre).min() >= 10 * h, (
-                    f"{name}: an occupied slot's pre-activation is within 10 h of the relu kink"
+                assert np.abs(pre_activations(cache)).min() >= 10 * h, (
+                    f"{name}: a relu pre-activation is within 10 h of the kink"
                 )
             return tensor_core.grad_check(f, params, h=h, **kwargs)
 
-        monkeypatch.setattr(switch_layer, "_expert_buffers_fwd", recording_fwd)
+        monkeypatch.setattr(module, attr, recording_fwd)
         monkeypatch.setattr(cli, "grad_check", kink_free_grad_check)
     report = check()
     assert report.passed, report.details
@@ -246,6 +255,10 @@ def test_restore_model_returns_saved_state_bitwise(tmp_path, overrides, monkeypa
     restored, restored_opt, restored_config = cli.restore_model(ckpt)
 
     assert cli.serialize_config(restored_config) == cli.serialize_config(config)
+    _assert_same_state(model, opt, restored, restored_opt)
+
+
+def _assert_same_state(model, opt, restored, restored_opt):
     assert restored_opt.step == opt.step == 2
     for saved, loaded in [
         (named_parameters(model), named_parameters(restored)),
@@ -256,6 +269,39 @@ def test_restore_model_returns_saved_state_bitwise(tmp_path, overrides, monkeypa
         for name, arr in saved.items():
             assert loaded[name].dtype == arr.dtype, name
             assert loaded[name].tobytes() == arr.tobytes(), name
+
+
+def _legacy_v1_blob(model, opt, config) -> bytes:
+    """Format version 1 as older builds wrote it, with the header's ``"rng"``
+    field and each record's ``"precision_tag"``, which nothing reads."""
+    tensors = dict(named_parameters(model))
+    tensors.update({f"adam.m.{k}": v for k, v in opt.m.items()})
+    tensors.update({f"adam.v.{k}": v for k, v in opt.v.items()})
+    records, payloads, offset = [], [], 0
+    for name in sorted(tensors):
+        raw = np.ascontiguousarray(tensors[name], dtype=np.float32).astype("<f4").tobytes()
+        records.append({
+            "name": name, "shape": list(tensors[name].shape), "dtype": "<f4",
+            "precision_tag": "full", "offset": offset, "nbytes": len(raw),
+        })
+        payloads.append(raw)
+        offset += len(raw)
+    header = {
+        "format_version": cli.CHECKPOINT_VERSION,
+        "step": opt.step,
+        "config": cli.serialize_config(config),
+        "rng": RngStream(config.seed).state(),
+        "tensors": records,
+    }
+    return _header_blob(json.dumps(header, sort_keys=True).encode()) + b"".join(payloads)
+
+
+def test_restore_model_reads_legacy_v1_layout(tmp_path):
+    model, opt, config = _trained_state({"ffn_kind": "switch"})
+    path = tmp_path / "legacy.ckpt"
+    path.write_bytes(_legacy_v1_blob(model, opt, config))
+    restored, restored_opt, _ = cli.restore_model(cli.load_checkpoint(str(path)))
+    _assert_same_state(model, opt, restored, restored_opt)
 
 
 def _rename_first(header):

@@ -55,7 +55,8 @@ class OneHotSlots:
     """Stands in for the slot map, carrying the one-hot routing tensors.
 
     ``token``/``expert``/``slot`` list every kept token, which is where the
-    one-hot backward reads the gate gradient off ``d_combine``.
+    one-hot backward reads the gate gradient off ``d_combine``. It holds one
+    rank, so it stands in for the switch layer (the routed FFN at k = 1).
     """
 
     dispatch: np.ndarray
@@ -63,14 +64,21 @@ class OneHotSlots:
     token: np.ndarray
     expert: np.ndarray
     slot: np.ndarray
+    offsets: tuple[int, int]
 
     @classmethod
     def from_plan(cls, plan, selective_precision):
         dispatch, combine = build_dispatch_combine(plan, selective_precision)
         kept = np.flatnonzero(~plan.dropped)
         return cls(
-            dispatch, combine, kept, plan.expert_index[kept], plan.position_in_expert[kept]
+            dispatch, combine, kept, plan.expert_index[kept], plan.position_in_expert[kept],
+            (0, kept.size),
         )
+
+    @classmethod
+    def from_plans(cls, plans, selective_precision):
+        (plan,) = plans
+        return cls.from_plan(plan, selective_precision)
 
     def gather(self, x, gated=False):
         w = self.combine if gated else self.dispatch.astype(x.dtype)

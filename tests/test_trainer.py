@@ -142,7 +142,7 @@ def test_resumed_run_continues_exactly(tmp_path):
     assert resumed.step == reference.step == 20
     assert resumed.tensors.keys() == reference.tensors.keys()
     for name, t in reference.tensors.items():
-        assert np.array_equal(resumed.tensors[name].data, t.data), name
+        assert np.array_equal(resumed.tensors[name], t), name
 
 
 def _walk_chains_per_cluster(transitions, ranges, seq_len, size, rng):
