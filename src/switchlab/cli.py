@@ -449,22 +449,19 @@ def run_experiment(config: ExperimentConfig, resume: str | None = None) -> int:
         fh.write(serialize_config(config))
 
     if config.mesh is not None:
-        capacity = expert_capacity(
-            config.train.batch_tokens // config.mesh.n,
-            config.router.num_experts,
-            config.router.capacity_factor,
-        )
-        report = comm_cost_report(
-            config.mesh,
-            config.train.batch_tokens,
-            config.train.d_model,
-            config.train.d_ff,
-            config.router.num_experts,
-            capacity,
-            "bfloat16" if config.router.selective_precision else "float32",
-        )
-        comm_report_to_csv(report, os.path.join(outdir, "comm_report.csv"))
+        comm_report_to_csv(_comm_report(config), os.path.join(outdir, "comm_report.csv"))
     return 0
+
+
+def _comm_report(config: ExperimentConfig) -> list[parallel_sim.CommCostRow]:
+    """The analytical comm report of ``config.mesh``, with capacity budgeted
+    per data-parallel row as each row routes its own tokens."""
+    tc, rc = config.train, config.router
+    capacity = expert_capacity(tc.batch_tokens // config.mesh.n, rc.num_experts, rc.capacity_factor)
+    return comm_cost_report(
+        config.mesh, tc.batch_tokens, tc.d_model, tc.d_ff, rc.num_experts, capacity,
+        "bfloat16" if rc.selective_precision else "float32",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +587,7 @@ def _gradient_checks():
 
         cfg = RouterConfig(num_experts=2, capacity_factor=2.0, alpha=0.01)
         if routed_q:
-            acfg = AttentionConfig(num_heads=1, expert_form="linear", router=cfg)
+            acfg = AttentionConfig(num_heads=1, router=cfg)
             x = rng.substream("attn.x").normal((1, 4, 4)) * 0.5
             q_params = init_switch_layer_params(
                 4, 4, 2, rng.substream("attn.q"), scale=0.5, expert_form="linear"
@@ -709,15 +706,9 @@ def _cmd_parallel_check(args) -> int:
     ])
     diff = float(np.abs(sharded.y - reference).max())
 
-    capacity = expert_capacity(tc.batch_tokens // cfg.mesh.n, cfg.router.num_experts,
-                               cfg.router.capacity_factor)
-    report = comm_cost_report(
-        cfg.mesh, tc.batch_tokens, tc.d_model, tc.d_ff, cfg.router.num_experts, capacity,
-        "bfloat16" if cfg.router.selective_precision else "float32",
-    )
     simulated = sorted((r.op, r.bytes) for r in records)
     predicted = sorted(
-        (r.op, r.bytes_per_core) for r in report if r.comm_pass == "forward"
+        (r.op, r.bytes_per_core) for r in _comm_report(cfg) if r.comm_pass == "forward"
     )
     ledger_ok = simulated == predicted
     print(f"max |sharded - reference| = {diff:.3e}")

@@ -1,13 +1,16 @@
-"""Logical-mesh execution of the switch layer with explicit collectives.
+"""Logical-mesh execution of the switch layer with a ledger of its collectives.
 
 Cores form an n x m grid: token batches split across the n data-parallel
 rows, feed-forward hidden dimensions split across the m model-parallel
 columns, and under the expert strategies row e additionally owns expert e's
-weights. The simulator runs the layer one core at a time in a fixed order,
-moves data only through explicit all-to-all and all-reduce steps, and
-accounts every movement in bytes, so the result can be compared bit-for-bit
-(m = 1) or to 1e-6 (m > 1, different reduction order) against the plain
-single-core layer.
+weights. The simulator runs one kernel per core, in a fixed order: row i
+routes its own tokens, and core (i, j) runs the switch layer's own expert
+kernel on them with column j's slice of every expert. A tree sum over the
+columns stands in for the all-reduce. The all-to-all trips to and from the
+expert owners would only move slots between cores and back, so they are
+not run; a ledger records each collective the mesh would run, with its
+bytes. The result can be compared bit-for-bit (m = 1) or to 1e-6 (m > 1,
+different reduction order) against the plain single-core layer.
 
 All byte counts are per core: an all-to-all of an [E, C, d_model] buffer
 costs E*C*d_model elements on each participating core, an all-reduce costs
@@ -26,7 +29,7 @@ import numpy as np
 
 from .router import LoadBalanceStats, RouterConfig, route
 from .switch_layer import LayerOutput, SwitchLayerParams, _expert_buffers_fwd, _Slots
-from .tensor_core import InvalidArgumentError, RngStream, relu
+from .tensor_core import InvalidArgumentError, RngStream
 
 __all__ = [
     "STRATEGIES",
@@ -111,8 +114,8 @@ class CommRecord:
 
 
 def _tree_sum(blocks: list[np.ndarray]) -> np.ndarray:
-    """Deterministic pairwise reduction in fixed core order."""
-    work = [b.copy() for b in blocks]
+    """Deterministic pairwise reduction in fixed core order; one block comes back as is."""
+    work = list(blocks)
     while len(work) > 1:
         nxt = []
         for i in range(0, len(work) - 1, 2):
@@ -137,15 +140,16 @@ def run_sharded_switch_layer(
 ) -> tuple[LayerOutput, list[CommRecord]]:
     """Run the switch FFN over the mesh and return output plus comm ledger.
 
-    Pipeline per data-parallel row: local routing of the row's tokens, an
-    index gather of each routed token into its slot of the row's [E, C, d]
-    buffer, all-to-all to the expert owners (expert strategies), per-expert
-    FFN over the column's d_ff slice, all-to-all back, a gate-weighted index
-    scatter of the slots onto their tokens, and an all-reduce of the
-    per-column partial outputs (m > 1). Gather and scatter use the same slot
-    map as the single-core layer. Evaluation semantics: no dropout, no
-    exploration noise. Capacity is budgeted per row, as each core routes
-    blind to the others; the aux loss is the mean of the per-row losses.
+    Every strategy takes one path. Row i routes its own tokens; core (i, j)
+    runs the single-core expert kernel (index gather into row i's [E, C, d]
+    slots, expert FFN, gate-weighted index scatter) with column j's d_ff
+    slice of every expert; the column outputs are tree-summed and the
+    dropped tokens pass through. The ledger lists what the mesh would move:
+    the all-to-all to the expert owners and back (expert strategies, n > 1)
+    and the all-reduce of the column partials (m > 1). Evaluation
+    semantics: no dropout, no exploration noise. Capacity is budgeted per
+    row, as each core routes blind to the others; the aux loss is the mean
+    of the per-row losses.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -167,110 +171,41 @@ def run_sharded_switch_layer(
     if d_ff % m != 0:
         raise InvalidArgumentError(f"d_ff {d_ff} not divisible by m={m} model-parallel ways")
 
-    records: list[CommRecord] = []
-    a2a_width = BF16_BYTES if router_config.selective_precision else FLOAT32_BYTES
-
-    row_inputs = np.split(x, n)
-    plans = []
-    stats_rows = []
-    row_slots = []
-    for i, xi in enumerate(row_inputs):
+    ff = d_ff // m
+    columns = [slice(j * ff, (j + 1) * ff) for j in range(m)]
+    plans, stats_rows, row_outputs = [], [], []
+    for i, xi in enumerate(np.split(x, n)):
         plan, stats = route(
             xi, params.w_router, router_config, rng.substream(f"core{i}/route"), "eval"
         )
+        slots = _Slots.from_plan(plan, router_config.selective_precision)
+        y_parts = [
+            _expert_buffers_fwd(
+                xi, slots, params.w_in[:, :, cols], params.w_out[:, cols, :], 0.0, None, "eval",
+            )[0]
+            for cols in columns
+        ]
+        y_i = _tree_sum(y_parts)
+        y_i[plan.dropped] = xi[plan.dropped]
         plans.append(plan)
         stats_rows.append(stats)
-        row_slots.append(_Slots.from_plan(plan, router_config.selective_precision))
-    capacity = plans[0].capacity
-
-    if m == 1 and not mesh.expert_sharded:
-        # Experts are fully local to each row; reuse the single-core kernel
-        # verbatim so the data-parallel path is bit-identical to the
-        # reference, then stitch the rows back together. No communication.
-        row_outputs = []
-        for i, xi in enumerate(row_inputs):
-            y_i, _ = _expert_buffers_fwd(
-                xi, row_slots[i], params.w_in, params.w_out, 0.0, None, "eval",
-            )
-            if plans[i].dropped.any():
-                y_i[plans[i].dropped] = xi[plans[i].dropped]
-            row_outputs.append(y_i)
-        y = np.concatenate(row_outputs)
-        return _assemble_output(y, plans, stats_rows), records
-
-    # Dispatch gather on every row: [E, C, d] buffers.
-    row_bufs = [slots.gather(xi) for xi, slots in zip(row_inputs, row_slots)]
-
-    if mesh.expert_sharded and n > 1:
-        # Send slot buffers to the expert owners: row e now holds [n, C, d].
-        expert_bufs = [np.stack([row_bufs[i][e] for i in range(n)]) for e in range(num_experts)]
-        records.append(
-            CommRecord("all_to_all", num_experts * capacity * d_model, a2a_width, "forward")
-        )
-    else:
-        expert_bufs = None
-
-    # Expert FFN over each model-parallel column's d_ff slice. Partial
-    # outputs stay split over m until after the combine.
-    ff = d_ff // m
-
-    def expert_partial(buf_e: np.ndarray, e: int, j: int) -> np.ndarray:
-        cols = slice(j * ff, (j + 1) * ff)
-        h = buf_e @ params.w_in[e][:, cols]
-        return relu(h) @ params.w_out[e][cols, :]
-
-    if mesh.expert_sharded and n > 1:
-        # partial_out[e][j]: [n, C, d] partial output on core (e, j).
-        partial_out = [
-            [expert_partial(expert_bufs[e], e, j) for j in range(m)]
-            for e in range(num_experts)
-        ]
-        # Return trip: row i collects its slots back from every expert owner.
-        row_partials = [
-            [
-                np.stack([partial_out[e][j][i] for e in range(num_experts)])
-                for j in range(m)
-            ]
-            for i in range(n)
-        ]
-        records.append(
-            CommRecord("all_to_all", num_experts * capacity * d_model, a2a_width, "forward")
-        )
-    else:
-        # Experts replicated across rows: each row computes all experts on
-        # its own buffer, still split over the m weight columns.
-        row_partials = [
-            [
-                np.stack([expert_partial(row_bufs[i][e], e, j) for e in range(num_experts)])
-                for j in range(m)
-            ]
-            for i in range(n)
-        ]
-
-    row_outputs = []
-    for i, xi in enumerate(row_inputs):
-        y_parts = [row_slots[i].scatter(row_partials[i][j], gated=True) for j in range(m)]
-        y_i = _tree_sum(y_parts)
-        if plans[i].dropped.any():
-            y_i[plans[i].dropped] = xi[plans[i].dropped]
         row_outputs.append(y_i)
+
+    records: list[CommRecord] = []
+    if mesh.expert_sharded and n > 1:
+        # Slots travel to their expert's owner row and back.
+        a2a_width = BF16_BYTES if router_config.selective_precision else FLOAT32_BYTES
+        a2a_elements = num_experts * plans[0].capacity * d_model
+        records += [CommRecord("all_to_all", a2a_elements, a2a_width) for _ in range(2)]
     if m > 1:
-        records.append(
-            CommRecord("all_reduce", (num_tokens // n) * d_model, FLOAT32_BYTES, "forward")
-        )
+        records.append(CommRecord("all_reduce", (num_tokens // n) * d_model, FLOAT32_BYTES))
 
-    y = np.concatenate(row_outputs)
-    return _assemble_output(y, plans, stats_rows), records
-
-
-def _assemble_output(
-    y: np.ndarray, plans, stats_rows
-) -> LayerOutput:
     f = np.mean([s.f for s in stats_rows], axis=0)
     p = np.mean([s.P for s in stats_rows], axis=0)
     aux = float(np.mean([s.aux_loss for s in stats_rows]))
     dropped = float(np.mean([plan.dropped.mean() for plan in plans]))
-    return LayerOutput(y, aux, LoadBalanceStats(f, p, aux), dropped)
+    y = np.concatenate(row_outputs)
+    return LayerOutput(y, aux, LoadBalanceStats(f, p, aux), dropped), records
 
 
 # ---------------------------------------------------------------------------

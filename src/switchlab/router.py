@@ -42,7 +42,6 @@ __all__ = [
     "apply_policy",
     "route",
     "load_balance_loss",
-    "load_balance_loss_backward",
     "ntlb_reroute",
     "fill_slots",
     "build_dispatch_combine",
@@ -362,25 +361,6 @@ def load_balance_loss(
         )
     aux, _, _ = _balance_terms(probs, mask, alpha)
     return aux
-
-
-def load_balance_loss_backward(
-    router_probs: np.ndarray, expert_mask: np.ndarray, alpha: float = 0.01
-) -> np.ndarray:
-    """d(loss)/d(router_probs); the f path carries no gradient.
-
-    The dispatch fractions come from a hard argmax and are therefore
-    piecewise constant: only the mean-probability vector P is differentiable,
-    giving d/dP_i = alpha * N * f_i and hence a per-token gradient of
-    alpha * N * f_i / T.
-    """
-    probs = np.asarray(router_probs)
-    mask = np.asarray(expert_mask)
-    _check_one_hot(mask)
-    num_tokens, n = probs.shape
-    f_vec = mask.mean(axis=0, dtype=np.float64)
-    grad_row = alpha * n * f_vec / num_tokens
-    return np.broadcast_to(grad_row, probs.shape).astype(probs.dtype).copy()
 
 
 def _check_one_hot(mask: np.ndarray) -> None:

@@ -3,9 +3,12 @@
 The switch FFN routes every token to one expert feed-forward network and
 scales that expert's output by the router gate; tokens that overflow an
 expert's slot budget pass through unchanged. It is the top-k mixture layer
-at k = 1, and both run one routed-FFN forward and one backward pass. A
-dense FFN baseline and an attention variant whose query projection is
-expert-routed share the same building blocks.
+at k = 1, and both run one routed-FFN forward and one backward pass. An
+expert is the dense FFN applied to the tokens routed to it: one FFN body,
+``_ffn_fwd``/``_ffn_bwd``, serves the dense baseline and every expert
+(2-D weights or [E, ., .] stacks), and with no output weight it is the
+linear map of the attention variant whose query projection is
+expert-routed.
 
 Every layer comes in two flavors: a plain forward (``dense_ffn``,
 ``switch_ffn``, ...) matching the public contract, and a ``*_fwd``/``*_bwd``
@@ -58,9 +61,6 @@ __all__ = [
     "switch_attention",
     "attention_fwd",
     "attention_bwd",
-    "dense_ffn_macs_per_token",
-    "switch_ffn_macs_per_token",
-    "router_macs_per_token",
 ]
 
 DEFAULT_INIT_SCALE = 0.1  # a tenth of the usual transformer init scale
@@ -111,14 +111,7 @@ class AttentionWeights:
 @dataclass
 class AttentionConfig:
     num_heads: int = 1
-    expert_form: str = "linear"  # "linear" | "ffn" query experts
     router: RouterConfig | None = None
-
-    def __post_init__(self) -> None:
-        if self.expert_form not in ("linear", "ffn"):
-            raise InvalidArgumentError(
-                f"expert_form must be 'linear' or 'ffn', got {self.expert_form!r}"
-            )
 
 
 def init_switch_layer_params(
@@ -185,18 +178,57 @@ def _dropout(
 
 
 # ---------------------------------------------------------------------------
-# Dense FFN baseline
+# The FFN body, shared by the dense FFN and every expert
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class DenseFfnCache:
+    """Backward state of one FFN body; ``w_out`` None marks a linear map."""
+
     x: np.ndarray
     w_in: np.ndarray
-    w_out: np.ndarray
-    pre_relu: np.ndarray
-    activated: np.ndarray  # post-relu, post-dropout
+    w_out: np.ndarray | None
+    pre_relu: np.ndarray | None
+    activated: np.ndarray | None  # post-relu, post-dropout
     drop_scale: np.ndarray | None
+
+
+def _ffn_fwd(
+    x: np.ndarray,
+    w_in: np.ndarray,
+    w_out: np.ndarray | None,
+    dropout: float,
+    rng: RngStream | None,
+    mode: str,
+) -> tuple[np.ndarray, DenseFfnCache]:
+    """relu(x @ w_in) @ w_out with dropout on the intermediate; x @ w_in when
+    ``w_out`` is None.
+
+    The weights are one 2-D matrix each, or [E, ., .] stacks applied to an
+    [E, C, d] buffer, one 2-D product per expert.
+    """
+    h = x @ w_in
+    if w_out is None:
+        return h, DenseFfnCache(x, w_in, None, None, None, None)
+    activated, drop_scale = _dropout(relu(h), dropout, rng, mode)
+    return activated @ w_out, DenseFfnCache(x, w_in, w_out, h, activated, drop_scale)
+
+
+def _ffn_bwd(
+    grad_y: np.ndarray, cache: DenseFfnCache
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Returns (dx, dw_in, dw_out), with dw_out None for a linear map."""
+    t = lambda a: a.swapaxes(-1, -2)
+    if cache.w_out is None:
+        dh, dw_out = grad_y, None
+    else:
+        dw_out = t(cache.activated) @ grad_y
+        d_act = grad_y @ t(cache.w_out)
+        if cache.drop_scale is not None:
+            d_act = d_act * cache.drop_scale
+        dh = relu_backward(d_act, cache.pre_relu)
+    return dh @ t(cache.w_in), t(cache.x) @ dh, dw_out
 
 
 def dense_ffn_fwd(
@@ -212,11 +244,7 @@ def dense_ffn_fwd(
         raise InvalidArgumentError(
             f"dense_ffn: shapes x{x.shape}, w_in{w_in.shape}, w_out{w_out.shape} do not chain"
         )
-    h = x @ w_in
-    r = relu(h)
-    rd, drop_scale = _dropout(r, dropout, rng, mode)
-    y = rd @ w_out
-    return y, DenseFfnCache(x, w_in, w_out, h, rd, drop_scale)
+    return _ffn_fwd(x, w_in, w_out, dropout, rng, mode)
 
 
 def dense_ffn(
@@ -236,14 +264,7 @@ def dense_ffn_bwd(
     grad_y: np.ndarray, cache: DenseFfnCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Returns (dx, dw_in, dw_out)."""
-    dw_out = cache.activated.T @ grad_y
-    d_act = grad_y @ cache.w_out.T
-    if cache.drop_scale is not None:
-        d_act = d_act * cache.drop_scale
-    dh = relu_backward(d_act, cache.pre_relu)
-    dw_in = cache.x.T @ dh
-    dx = dh @ cache.w_in.T
-    return dx, dw_in, dw_out
+    return _ffn_bwd(grad_y, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +351,8 @@ class _Slots:
 @dataclass
 class _ExpertBufferCache:
     slots: _Slots
-    expert_in: np.ndarray  # [E, C, d]
-    pre_relu: np.ndarray | None  # [E, C, f] (None for linear experts)
-    activated: np.ndarray | None
-    drop_scale: np.ndarray | None
+    ffn: DenseFfnCache  # the experts' FFN body over the [E, C, d] slots
     expert_out: np.ndarray  # [E, C, d]
-    w_in: np.ndarray
-    w_out: np.ndarray | None
-    linear: bool
-
-
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose every expert's matrix (a view)."""
-    return a.transpose(0, 2, 1)
 
 
 def _expert_buffers_fwd(
@@ -357,26 +367,14 @@ def _expert_buffers_fwd(
     """Gather tokens into expert slots, run the experts, scatter gate-scaled outputs.
 
     The gather and scatter move rows by index, so the cost is linear in the
-    token count. Each expert matmul is one ``np.matmul`` over the padded
+    token count. The experts run the dense FFN's body over the padded
     [E, C, d] stack, a 2-D BLAS product per expert whose rows depend on their
     own slot alone; this keeps the one-hot einsum form's arithmetic and a
     single-expert layer bit-identical to the dense baseline.
     """
-    expert_in = slots.gather(x)
-    if w_out is None:  # linear experts (attention variant)
-        expert_out = expert_in @ w_in
-        pre_relu = activated = drop_scale = None
-    else:
-        pre_relu = expert_in @ w_in
-        r = relu(pre_relu)
-        activated, drop_scale = _dropout(r, expert_dropout, rng, mode)
-        expert_out = activated @ w_out
+    expert_out, ffn = _ffn_fwd(slots.gather(x), w_in, w_out, expert_dropout, rng, mode)
     y = slots.scatter(expert_out, gated=True)
-    cache = _ExpertBufferCache(
-        slots, expert_in, pre_relu, activated, drop_scale,
-        expert_out, w_in, w_out, w_out is None,
-    )
-    return y, cache
+    return y, _ExpertBufferCache(slots, ffn, expert_out)
 
 
 def _expert_buffers_bwd(
@@ -384,26 +382,13 @@ def _expert_buffers_bwd(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Returns (dx, d_gate [K], dw_in, dw_out); d_gate follows ``cache.slots``."""
     slots = cache.slots
-    d_expert_out = slots.gather(grad_y, gated=True)
     # einsum reduces over d the way the one-hot d_combine einsum did, which
     # keeps the gate gradient bit-identical to that form.
     d_gate = np.einsum(
         "kd,kd->k", grad_y[slots.token], cache.expert_out[slots.expert, slots.slot]
     )
-    if cache.linear:
-        dw_in = _t(cache.expert_in) @ d_expert_out
-        d_expert_in = d_expert_out @ _t(cache.w_in)
-        dw_out = None
-    else:
-        dw_out = _t(cache.activated) @ d_expert_out
-        d_act = d_expert_out @ _t(cache.w_out)
-        if cache.drop_scale is not None:
-            d_act = d_act * cache.drop_scale
-        dh = relu_backward(d_act, cache.pre_relu)
-        dw_in = _t(cache.expert_in) @ dh
-        d_expert_in = dh @ _t(cache.w_in)
-    dx = slots.scatter(d_expert_in)
-    return dx, d_gate, dw_in, dw_out
+    d_expert_in, dw_in, dw_out = _ffn_bwd(slots.gather(grad_y, gated=True), cache.ffn)
+    return slots.scatter(d_expert_in), d_gate, dw_in, dw_out
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +533,8 @@ def _routed_ffn_bwd(
     d_probs[rows, choices] += d_gates
 
     if aux_weight != 0.0 and cache.alpha != 0.0:
+        # aux = alpha * N * sum_i f_i * P_i, with f piecewise constant and
+        # P_i the token mean of probs[:, i]: each token gets alpha * N * f / T.
         d_probs += aux_weight * cache.alpha * n * cache.stats.f / num_tokens
 
     d_logits = softmax_backward(d_probs, probs)
@@ -785,29 +772,8 @@ def switch_attention(
 
     Keys and values come from shared dense weights; only the query side is
     expert-routed, and the balance loss of its router is attached to the
-    output. Experts are linear maps by default (``attn_config.expert_form``
-    switches to full FFN experts).
+    output. The experts are linear maps when ``q_params.w_out`` is None and
+    full FFNs otherwise.
     """
     out, _ = attention_fwd(x, kv_weights, attn_config, rng, mode, q_params=q_params)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Multiply-add accounting
-# ---------------------------------------------------------------------------
-
-
-def dense_ffn_macs_per_token(d_model: int, d_ff: int) -> int:
-    """Multiply-adds per token through a dense FFN: two matmuls."""
-    return 2 * d_model * d_ff
-
-
-def switch_ffn_macs_per_token(d_model: int, d_ff: int, num_experts: int) -> int:
-    """Per-token expert compute, router excluded: one expert's FFN, whatever N is."""
-    del num_experts  # each token runs through exactly one expert
-    return 2 * d_model * d_ff
-
-
-def router_macs_per_token(d_model: int, num_experts: int) -> int:
-    """The only per-token cost that grows with N: the routing matmul."""
-    return d_model * num_experts

@@ -100,13 +100,6 @@ class RngStream:
         cdf[:, -1] = 1.0  # guard against round-off shortfall
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
-    def state(self) -> dict:
-        return {"seed": int(self.seed), "label": self.label, "counter": int(self.counter)}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RngStream":
-        return cls(int(state["seed"]), str(state["label"]), int(state["counter"]))
-
 
 # ---------------------------------------------------------------------------
 # Initialization

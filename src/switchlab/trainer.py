@@ -65,7 +65,6 @@ __all__ = [
     "batch_for_step",
     "neg_log_perplexity",
     "distill_loss",
-    "distill_loss_backward",
     "init_student_from_teacher",
     "distill_train",
 ]
@@ -347,9 +346,6 @@ class ToyModel:
     blocks: list[BlockParams]
     out_proj: np.ndarray | None  # [d, V]; None when tied to the embedding
 
-    def expert_block_indices(self) -> list[int]:
-        return [i for i, b in enumerate(self.blocks) if b.ffn_kind != "dense"]
-
 
 def _is_expert_position(i: int, config: TrainConfig) -> bool:
     return config.ffn_kind != "dense" and (i % config.expert_every == config.expert_every - 1)
@@ -469,7 +465,7 @@ def model_fwd(
     block_inputs, attn_caches, post_attn, ffn_caches = [], [], [], []
     aux_total = 0.0
     dropped, fractions = [], []
-    attn_config = AttentionConfig(config.num_heads, "linear", model.router_config)
+    attn_config = AttentionConfig(config.num_heads, model.router_config)
 
     for i, blk in enumerate(model.blocks):
         block_inputs.append(h)
@@ -676,8 +672,7 @@ def train_step(
         )
     grads = model_bwd(model, fwd.cache, d_logits, aux_weight=1.0)
     adam_update(named_parameters(model), grads, opt_state, config.learning_rate)
-    nlp = neg_log_perplexity(fwd.logits[batch.target_rows, batch.target_cols], batch.target_ids)
-    return MetricRow(step, total, ce, fwd.aux_loss, nlp, fwd.dropped_fraction, fwd.expert_fractions)
+    return MetricRow(step, total, ce, fwd.aux_loss, -ce, fwd.dropped_fraction, fwd.expert_fractions)
 
 
 def train(
@@ -728,8 +723,7 @@ def evaluate(
     batch = _masked_batch(heldout.sequences, config, root.substream("eval_mask"))
     fwd = model_fwd(model, batch.input_ids, root.substream("eval_model"), training=False)
     ce, _ = masked_cross_entropy(fwd.logits, batch)
-    nlp = neg_log_perplexity(fwd.logits[batch.target_rows, batch.target_cols], batch.target_ids)
-    return MetricRow(-1, ce + fwd.aux_loss, ce, fwd.aux_loss, nlp, fwd.dropped_fraction, fwd.expert_fractions)
+    return MetricRow(-1, ce + fwd.aux_loss, ce, fwd.aux_loss, -ce, fwd.dropped_fraction, fwd.expert_fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -751,16 +745,6 @@ def distill_loss(
     """
     loss, _ = _distill_loss_and_grad(student_logits, teacher_logits, target_ids, hard_weight)
     return loss
-
-
-def distill_loss_backward(
-    student_logits: np.ndarray,
-    teacher_logits: np.ndarray,
-    target_ids: np.ndarray,
-    hard_weight: float = 0.75,
-) -> np.ndarray:
-    _, grad = _distill_loss_and_grad(student_logits, teacher_logits, target_ids, hard_weight)
-    return grad
 
 
 def _distill_loss_and_grad(

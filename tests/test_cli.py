@@ -14,7 +14,7 @@ from switchlab.trainer import AdamState, TrainConfig, build_model, named_paramet
 
 
 def _occupied_slots(cache):
-    return cache.pre_relu[cache.slots.expert, cache.slots.slot]
+    return cache.ffn.pre_relu[cache.slots.expert, cache.slots.slot]
 
 
 # Cases that apply a relu: finite differences are only valid away from its
@@ -290,7 +290,7 @@ def _legacy_v1_blob(model, opt, config) -> bytes:
         "format_version": cli.CHECKPOINT_VERSION,
         "step": opt.step,
         "config": cli.serialize_config(config),
-        "rng": RngStream(config.seed).state(),
+        "rng": {"seed": config.seed, "label": "", "counter": 0},
         "tensors": records,
     }
     return _header_blob(json.dumps(header, sort_keys=True).encode()) + b"".join(payloads)

@@ -20,9 +20,14 @@ from switchlab.router import (
     build_dispatch_combine,
     expert_capacity,
     load_balance_loss,
-    load_balance_loss_backward,
     ntlb_reroute,
     route,
+)
+from switchlab.switch_layer import (
+    SwitchLayerParams,
+    init_switch_layer_params,
+    switch_ffn_bwd,
+    switch_ffn_fwd,
 )
 from switchlab.tensor_core import (
     InvalidArgumentError,
@@ -32,7 +37,6 @@ from switchlab.tensor_core import (
     one_hot,
     quantize_bf16,
     softmax,
-    softmax_backward,
 )
 
 ARGMAX = RouterConfig(num_experts=2)  # convenience for policy-free tests
@@ -318,32 +322,24 @@ class TestLoadBalanceLoss:
             load_balance_loss(probs, np.array([[1.0, 1.0], [1.0, 0.0]]), 0.01)
 
     def test_gradient_matches_fd_with_frozen_f(self):
+        # The switch layer's inline balance gradient, alone: with a zero
+        # upstream gradient and the assignment (hence f) frozen, only the
+        # P path of the aux loss reaches x and the router weights.
         rng = RngStream(14)
-        logits = rng.normal((6, 4))
-        mask = one_hot(np.argmax(logits, axis=1), 4)
+        cfg = RouterConfig(num_experts=4, alpha=0.01)
+        x = rng.substream("x").normal((6, 5))
+        params = init_switch_layer_params(5, 3, 4, rng.substream("params"), scale=1.0)
+        _, cache0 = switch_ffn_fwd(x, params, cfg, RngStream(0), "eval")
 
-        def f(params):
-            probs = softmax(params[0], axis=-1)
-            loss = load_balance_loss(probs, mask, 0.01)
-            d_probs = load_balance_loss_backward(probs, mask, 0.01)
-            return loss, [softmax_backward(d_probs, probs)]
+        def f(p):
+            sp = SwitchLayerParams(p[1], params.w_in, params.w_out)
+            out, cache = switch_ffn_fwd(
+                p[0], sp, cfg, RngStream(0), "eval", frozen_plan=cache0.plans[0]
+            )
+            g = switch_ffn_bwd(np.zeros_like(out.y), cache)
+            return out.aux_loss, [g["x"], g["w_router"]]
 
-        assert grad_check(f, [logits]).max_rel_err < 1e-4
-
-    def test_gradient_isolated_from_mask_path(self):
-        # perturbing the dispatch mask must leave the analytic gradient's
-        # dependence structure unchanged: grad rows are alpha*N*f/T
-        probs = softmax(RngStream(15).normal((8, 3)), axis=-1)
-        mask_a = one_hot(np.argmax(probs, axis=1), 3)
-        grad_a = load_balance_loss_backward(probs, mask_a, 0.01)
-        f_a = mask_a.mean(axis=0)
-        assert np.allclose(grad_a, np.broadcast_to(0.01 * 3 * f_a / 8, probs.shape))
-        # a different (still one-hot) mask changes f but the gradient stays
-        # independent of probs themselves
-        mask_b = one_hot(np.roll(np.argmax(probs, axis=1), 1), 3)
-        grad_b = load_balance_loss_backward(probs * 0.9 + 0.1 / 3, mask_b, 0.01)
-        f_b = mask_b.mean(axis=0)
-        assert np.allclose(grad_b, np.broadcast_to(0.01 * 3 * f_b / 8, probs.shape))
+        assert grad_check(f, [x, params.w_router]).max_rel_err < 1e-4
 
 
 # ---------------------------------------------------------------------------

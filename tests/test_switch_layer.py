@@ -31,7 +31,8 @@ from switchlab.switch_layer import (
     SwitchLayerParams,
     attention_bwd,
     attention_fwd,
-    dense_ffn,
+    dense_ffn_bwd,
+    dense_ffn_fwd,
     init_attention_weights,
     init_switch_layer_params,
     moe_topk_ffn_bwd,
@@ -285,7 +286,7 @@ class TestIndexKernelMatchesOneHot:
     def test_linear_attention_experts(self, monkeypatch, selective_precision):
         x, q_params = make_case(expert_form="linear")
         router = RouterConfig(EXPERTS, capacity_factor=1.0, selective_precision=selective_precision)
-        acfg = AttentionConfig(num_heads=2, expert_form="linear", router=router)
+        acfg = AttentionConfig(num_heads=2, router=router)
         weights = init_attention_weights(D_MODEL, RngStream(1), dense_q=False)
         xb = x.reshape(6, 16, D_MODEL)
 
@@ -368,7 +369,7 @@ class TestEquivalences:
         assert np.array_equal(moe.y, switch.y)
         assert moe.aux_loss == switch.aux_loss
         assert moe.dropped_fraction == switch.dropped_fraction
-        assert rng_moe.state() == rng_switch.state()
+        assert rng_moe == rng_switch
         # A float64 upstream gradient on float32 weights: every gradient,
         # dtype included, is the switch layer's.
         grad_y = np.cos(moe.y).astype(np.float64)
@@ -376,12 +377,30 @@ class TestEquivalences:
             moe_topk_ffn_bwd(grad_y, moe_cache), switch_ffn_bwd(grad_y, switch_cache)
         )
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_single_expert_switch_is_dense_ffn(self, mode):
-        x, params = make_case(experts=1)
-        out = switch_ffn(x, params, RouterConfig(1, capacity_factor=1.0), RngStream(0), mode)
+    @pytest.mark.parametrize(
+        "mode, dropout",
+        [pytest.param("eval", 0.0, id="eval"), pytest.param("train", 0.0, id="train"),
+         pytest.param("train", 0.3, id="train-dropout")],
+    )
+    def test_single_expert_switch_is_dense_ffn(self, mode, dropout):
+        # One expert: every gate is exactly 1, every token keeps its slot,
+        # and the expert runs the dense FFN's body on the same dropout draw.
+        x, params = make_case(experts=1, dropout=dropout)
+        cfg = RouterConfig(1, capacity_factor=1.0)
+        out, cache = switch_ffn_fwd(x, params, cfg, RngStream(0), mode)
+        y, dense_cache = dense_ffn_fwd(
+            x, params.w_in[0], params.w_out[0], dropout,
+            RngStream(0).substream("expert_dropout"), mode,
+        )
         assert out.dropped_fraction == 0.0
-        assert np.array_equal(out.y, dense_ffn(x, params.w_in[0], params.w_out[0]))
+        assert np.array_equal(out.y, y)
+        grad_y = grad_of(y)
+        g = switch_ffn_bwd(grad_y, cache, aux_weight=0.0)
+        dx, dw_in, dw_out = dense_ffn_bwd(grad_y, dense_cache)
+        assert_bitwise(
+            {"x": g["x"], "w_in": g["w_in"][0], "w_out": g["w_out"][0]},
+            {"x": dx, "w_in": dw_in, "w_out": dw_out},
+        )
 
     @pytest.mark.parametrize("strategy, n", [("data", 2), ("expert+data", 4)])
     def test_one_column_mesh_is_bitwise_per_row_switch_ffn(self, strategy, n):
@@ -428,7 +447,7 @@ class TestEquivalences:
             assert sizes and one_hot_size not in sizes
         # Every rank shares one [E, C, d] input buffer.
         inputs = [
-            b.expert_in for b in _dataclasses(moe_cache) if isinstance(b, sl._ExpertBufferCache)
+            b.ffn.x for b in _dataclasses(moe_cache) if isinstance(b, sl._ExpertBufferCache)
         ]
         assert [a.shape for a in inputs] == [(EXPERTS, capacity, D_MODEL)]
 

@@ -51,12 +51,6 @@ class TestRngStream:
         assert np.array_equal(a1, a2)
         assert np.array_equal(b1, b2)
 
-    def test_state_round_trip(self):
-        s = RngStream(11, "x")
-        s.normal((2,))
-        restored = RngStream.from_state(s.state())
-        assert np.array_equal(restored.normal((6,)), s.normal((6,)))
-
     def test_categorical_matches_cdf_inversion(self):
         probs = np.array([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]])
         draws = RngStream(5).categorical(np.tile(probs, (5000, 1))[:10000])

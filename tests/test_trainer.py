@@ -5,6 +5,7 @@ upcasts the probed tensors, and numpy promotes everything they touch), on
 input ids that repeat, so several positions scatter into one embedding row.
 """
 
+import dataclasses
 import inspect
 
 import numpy as np
@@ -22,6 +23,7 @@ from switchlab.trainer import (
     masked_cross_entropy,
     model_bwd,
     model_fwd,
+    named_parameters,
 )
 
 FD_STEP = 1e-4
@@ -199,3 +201,41 @@ def test_evaluate_repeats_exactly():
     assert np.isfinite(first.cross_entropy)
     assert first.cross_entropy == second.cross_entropy
     assert first.neg_log_perplexity == second.neg_log_perplexity
+
+
+def test_student_init_copies_every_non_expert_tensor():
+    config = TrainConfig(ffn_kind="switch", num_layers=4, expert_every=2, seed=3)
+    router_config = RouterConfig(num_experts=4)
+    teacher = build_model(config, router_config, RngStream(3).substream("teacher"))
+    student = build_model(
+        dataclasses.replace(config, ffn_kind="dense"), router_config,
+        RngStream(3).substream("student"),
+    )
+    before = {k: v.copy() for k, v in named_parameters(student).items()}
+    taught = named_parameters(teacher)
+    assert not np.array_equal(before["embedding"], taught["embedding"])
+
+    got = named_parameters(trainer.init_student_from_teacher(teacher, student))
+    expert_ffns = {f"block{i}.ffn.{w}" for i in (1, 3) for w in ("w_in", "w_out")}
+    assert got.keys() == before.keys()
+    for name, arr in got.items():
+        want = before[name] if name in expert_ffns else taught[name]
+        assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
+    for name, arr in named_parameters(student).items():
+        assert arr.tobytes() == before[name].tobytes(), f"{name} changed in the input student"
+
+
+def test_distill_train_repeats_exactly():
+    config = TrainConfig(ffn_kind="switch", steps=3, corpus_size=64, seed=6)
+    router_config = RouterConfig(num_experts=4)
+    teacher = build_model(config, router_config, RngStream(6).substream("init"))
+    (first, _, first_rows), (second, _, second_rows) = (
+        trainer.distill_train(teacher, config, router_config) for _ in range(2)
+    )
+    assert len(first_rows) == 3
+    assert [dataclasses.astuple(r) for r in first_rows] == [
+        dataclasses.astuple(r) for r in second_rows
+    ]
+    second_params = named_parameters(second)
+    for name, arr in named_parameters(first).items():
+        assert arr.tobytes() == second_params[name].tobytes(), name
