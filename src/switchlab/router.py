@@ -254,7 +254,8 @@ def route(
         and config.jitter_on_logits
         and config.jitter_eps > 0.0
     ):
-        logits = logits + rng.uniform(logits.shape, 1.0 - config.jitter_eps, 1.0 + config.jitter_eps)
+        noise = rng.uniform(logits.shape, 1.0 - config.jitter_eps, 1.0 + config.jitter_eps)
+        logits = logits + noise.astype(logits.dtype)
 
     # Finite inputs can still overflow to non-finite logits.
     _check_finite_rows(logits, "logits")

@@ -5,9 +5,16 @@ counter-based random streams, truncated-normal initialization, softmax and
 relu with their backward passes, bfloat16 emulation, and a
 central-finite-difference gradient checker.
 
-Arrays are plain ``np.ndarray`` in float32 (the gradient checker runs the
-same code in float64). There is no autodiff tape: each layer writes its
-backward pass by hand, so the numerics stay auditable.
+Arrays are plain ``np.ndarray`` in float32: every activation, cache array,
+gradient and optimizer moment. Scalars that meet them are Python floats, so
+NumPy's promotion keeps the arrays' dtype. A few reductions run in float64
+on purpose: the router's balance statistics (``LoadBalanceStats.f``/``P``
+and the penalty they form), the top-k gate gradient's renormalization, which
+is cast back into float32 router gradients, and the embedding gradient's
+scatter-add, which is cast to float32 once it is summed. Every op is
+dtype-preserving, so the gradient checker runs the same code in float64.
+There is no autodiff tape: each layer writes its backward pass by hand, so
+the numerics stay auditable.
 """
 
 from __future__ import annotations

@@ -568,13 +568,14 @@ def model_bwd(
 
     # Scatter-add each position's gradient onto its token's embedding row as
     # one flat float64 bincount over (token id, feature) cells, which sums
-    # each cell's contributions in input order.
+    # each cell's contributions in input order; the sum is cast to the
+    # embedding's dtype once, after the tied output term.
     v = model.embedding.shape[0]
     cells = (cache.input_ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
     d_emb = np.bincount(cells, weights=dh.reshape(-1), minlength=v * d).reshape(v, d)
     if model.out_proj is None:
         d_emb += dl.T @ flat_final  # logits = h @ E^T contributes to the embedding
-    grads["embedding"] = d_emb
+    grads["embedding"] = d_emb.astype(model.embedding.dtype)
     return grads
 
 

@@ -334,3 +334,32 @@ def test_restore_model_rejects_mismatched_checkpoint(tmp_path, edit, message, ca
     with pytest.raises(InvalidArgumentError, match=message):
         cli.restore_model(ckpt)
     _resume_exits_2(tmp_path, path, capsys)
+
+
+DISTILL_TINY = [
+    "train.steps=3", "train.vocab=32", "train.seq_len=8", "train.batch_tokens=32",
+    "train.corpus_size=32", "train.d_model=16", "train.d_ff=24", "train.num_clusters=2",
+]
+
+
+def _distill(tmp_path, settings):
+    argv = ["distill", "--seed", "4", "--outdir", str(tmp_path)]
+    for item in settings:
+        argv += ["--set", item]
+    return cli.main(argv)
+
+
+def test_distill_command_reports_finite_student_metric(tmp_path, capsys):
+    assert _distill(tmp_path, DISTILL_TINY) == 0
+    out = capsys.readouterr().out
+    (line,) = [s for s in out.splitlines() if s.startswith("distilled student eval cross-entropy:")]
+    assert np.isfinite(float(line.split(":")[1]))
+    for name in ("teacher_metrics.csv", "student_metrics.csv"):
+        assert (tmp_path / "run" / name).is_file()
+
+
+def test_distill_command_rejects_invalid_config(tmp_path, capsys):
+    assert _distill(tmp_path, DISTILL_TINY + ["train.hard_weight=1.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "hard_weight" in err
+    assert "Traceback" not in err
