@@ -1,6 +1,7 @@
 """Deterministic small-tensor numerics.
 
 Everything downstream builds on this module: the package's typed errors,
+the heap setting that lets each step reuse freed array memory,
 counter-based random streams, truncated-normal initialization, softmax and
 relu with their backward passes, bfloat16 emulation, and a
 central-finite-difference gradient checker.
@@ -19,7 +20,9 @@ the numerics stay auditable.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,6 +42,7 @@ __all__ = [
     "one_hot",
     "GradReport",
     "grad_check",
+    "keep_freed_heap",
 ]
 
 
@@ -48,6 +52,41 @@ class InvalidArgumentError(ValueError):
 
 class NumericError(ArithmeticError):
     """A computation produced or received non-finite values."""
+
+
+# ---------------------------------------------------------------------------
+# Array memory
+# ---------------------------------------------------------------------------
+
+# mallopt parameters from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_heap() -> bool:
+    """Keep freed array memory in glibc's heap for the next step to reuse.
+
+    By default glibc maps each array above its adaptive threshold fresh from
+    the kernel and hands the heap's free top back once it passes twice that
+    threshold, so every step page-faults much of its working set in again:
+    about 5000 faults and a third of the time of one 2048-token eval at
+    d_model 64. Fault cost also swings with the host's load. With this setting arrays up to
+    32 MiB come from the heap, and up to 256 MiB of free heap is kept.
+    Called once on import; returns False where the C library is not glibc.
+    """
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc only; other libcs tune differently
+    except (OSError, AttributeError):
+        return False
+    mmap_ok = libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_ok = libc.mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    return bool(mmap_ok and trim_ok)
+
+
+keep_freed_heap()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Numerics foundation: rng streams, init, softmax, bf16, relu and one-hot, grad checker."""
+"""Numerics foundation: heap setting, rng streams, init, softmax, bf16, relu and one-hot,
+grad checker."""
 
 import math
+import resource
 import struct
 
 import numpy as np
@@ -14,6 +16,7 @@ from switchlab.tensor_core import (
     NumericError,
     RngStream,
     grad_check,
+    keep_freed_heap,
     one_hot,
     quantize_bf16,
     relu_backward,
@@ -21,6 +24,28 @@ from switchlab.tensor_core import (
     softmax_backward,
     trunc_normal_init,
 )
+
+
+# ---------------------------------------------------------------------------
+# Array memory
+# ---------------------------------------------------------------------------
+
+
+def test_repeated_working_set_reuses_freed_pages():
+    """A step's arrays, freed and allocated again, land on pages already mapped."""
+    if not keep_freed_heap():
+        pytest.skip("the heap setting applies to glibc only")
+
+    def step():
+        arrays = [np.ones(1 << 17) for _ in range(16)]  # 16 MiB in 1 MiB arrays
+        del arrays
+
+    step()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        step()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 100  # each step touches 4096 pages
 
 
 # ---------------------------------------------------------------------------
