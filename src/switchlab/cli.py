@@ -720,7 +720,9 @@ def _cmd_parallel_check(args) -> int:
 
 def _cmd_distill(args) -> int:
     cfg = _load_config(args)
-    tc = dataclasses.replace(cfg.train, ffn_kind="switch")
+    tc = cfg.train
+    if tc.ffn_kind == "dense":  # the teacher is routed; a dense config gets switch FFNs
+        tc = dataclasses.replace(tc, ffn_kind="switch")
     outdir = os.path.join(cfg.outdir, cfg.name)
     os.makedirs(outdir, exist_ok=True)
 

@@ -41,7 +41,6 @@ __all__ = [
     "expert_capacity",
     "apply_policy",
     "route",
-    "load_balance_loss",
     "ntlb_reroute",
     "fill_slots",
     "build_dispatch_combine",
@@ -302,9 +301,8 @@ def route(
 
 
 def _check_finite_rows(a: np.ndarray, what: str) -> None:
-    finite_rows = np.isfinite(a).all(axis=1)
-    if not finite_rows.all():
-        bad = int(np.argmin(finite_rows))
+    if not np.isfinite(a).all():  # one pass; the per-row search runs only on failure
+        bad = int(np.argmin(np.isfinite(a).all(axis=1)))
         raise NumericError(f"route: non-finite {what} for token {bad}")
 
 
@@ -343,34 +341,6 @@ def _balance_terms(
     n = probs.shape[1]
     aux = float(alpha * n * np.sum(f_vec * p_vec))
     return aux, f_vec, p_vec
-
-
-def load_balance_loss(
-    router_probs: np.ndarray, expert_mask: np.ndarray, alpha: float = 0.01
-) -> float:
-    """alpha * N * sum_i f_i * P_i, computed in float64.
-
-    ``expert_mask`` must be the pre-capacity one-hot of each token's chosen
-    expert: f counts where tokens wanted to go, not where they fit.
-    """
-    probs = np.asarray(router_probs)
-    mask = np.asarray(expert_mask)
-    _check_one_hot(mask)
-    if probs.shape != mask.shape:
-        raise InvalidArgumentError(
-            f"load_balance_loss: probs {probs.shape} and mask {mask.shape} differ"
-        )
-    aux, _, _ = _balance_terms(probs, mask, alpha)
-    return aux
-
-
-def _check_one_hot(mask: np.ndarray) -> None:
-    if mask.ndim != 2:
-        raise InvalidArgumentError(f"expert_mask must be 2-D, got shape {mask.shape}")
-    values_ok = np.isin(mask, (0.0, 1.0)).all()
-    rows_ok = (mask.sum(axis=1) == 1.0).all()
-    if not (values_ok and rows_ok):
-        raise InvalidArgumentError("expert_mask rows must be exactly one-hot")
 
 
 def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:

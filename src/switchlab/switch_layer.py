@@ -10,12 +10,11 @@ expert is the dense FFN applied to the tokens routed to it: one FFN body,
 linear map of the attention variant whose query projection is
 expert-routed.
 
-Every layer comes in two flavors: a plain forward (``dense_ffn``,
-``switch_ffn``, ...) matching the public contract, and a ``*_fwd``/``*_bwd``
-pair used by the trainer, where ``*_fwd`` additionally returns a cache and
-``*_bwd`` consumes it. Backward passes treat the routing assignment as
-piecewise constant: gradients flow through gate values and expert weights,
-never through the discrete expert choice.
+Every layer is a ``*_fwd``/``*_bwd`` pair: ``*_fwd`` returns the output and a
+cache, and ``*_bwd`` consumes the cache. ``switch_ffn`` is the switch FFN's
+forward alone, for callers that need no gradient. Backward passes treat the
+routing assignment as piecewise constant: gradients flow through gate values
+and expert weights, never through the discrete expert choice.
 """
 
 from __future__ import annotations
@@ -50,16 +49,13 @@ __all__ = [
     "AttentionConfig",
     "init_switch_layer_params",
     "init_attention_weights",
-    "dense_ffn",
     "dense_ffn_fwd",
     "dense_ffn_bwd",
     "switch_ffn",
     "switch_ffn_fwd",
     "switch_ffn_bwd",
-    "moe_topk_ffn",
     "moe_topk_ffn_fwd",
     "moe_topk_ffn_bwd",
-    "switch_attention",
     "attention_fwd",
     "attention_bwd",
 ]
@@ -240,25 +236,14 @@ def dense_ffn_fwd(
     rng: RngStream | None = None,
     mode: str = "eval",
 ) -> tuple[np.ndarray, DenseFfnCache]:
+    """y = relu(x @ w_in) @ w_out with train-time dropout on the intermediate,
+    plus the cache ``dense_ffn_bwd`` consumes."""
     x, w_in, w_out = np.asarray(x), np.asarray(w_in), np.asarray(w_out)
     if x.shape[-1] != w_in.shape[0] or w_in.shape[1] != w_out.shape[0]:
         raise InvalidArgumentError(
             f"dense_ffn: shapes x{x.shape}, w_in{w_in.shape}, w_out{w_out.shape} do not chain"
         )
     return _ffn_fwd(x, w_in, w_out, dropout, rng, mode)
-
-
-def dense_ffn(
-    x: np.ndarray,
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    dropout: float = 0.0,
-    rng: RngStream | None = None,
-    mode: str = "eval",
-) -> np.ndarray:
-    """y = relu(x @ w_in) @ w_out with train-time dropout on the intermediate."""
-    y, _ = dense_ffn_fwd(x, w_in, w_out, dropout, rng, mode)
-    return y
 
 
 def dense_ffn_bwd(
@@ -593,20 +578,8 @@ def moe_topk_ffn_fwd(
     renormalize: bool = False,
     frozen_plans: list[DispatchPlan] | None = None,
 ) -> tuple[LayerOutput, MoeCache]:
-    """Top-k forward pass plus its cache; see ``_routed_ffn_fwd``."""
-    return _routed_ffn_fwd(x, params, k, router_config, rng, mode, renormalize, frozen_plans)
-
-
-def moe_topk_ffn(
-    x: np.ndarray,
-    params: SwitchLayerParams,
-    k: int,
-    router_config: RouterConfig,
-    rng: RngStream,
-    mode: str = "train",
-    renormalize: bool = False,
-) -> LayerOutput:
-    """Top-k mixture: y = sum over surviving assignments of p_i(x) * E_i(x).
+    """Top-k mixture, y = sum over surviving assignments of p_i(x) * E_i(x),
+    plus its cache; see ``_routed_ffn_fwd``.
 
     Gates come from the full softmax and are not renormalized over the
     selected set unless ``renormalize`` is set. The k ranks share one
@@ -614,8 +587,7 @@ def moe_topk_ffn(
     ranks before it left free. A token falls back to the residual
     passthrough only when every one of its k assignments overflows.
     """
-    out, _ = moe_topk_ffn_fwd(x, params, k, router_config, rng, mode, renormalize)
-    return out
+    return _routed_ffn_fwd(x, params, k, router_config, rng, mode, renormalize, frozen_plans)
 
 
 def moe_topk_ffn_bwd(
@@ -664,6 +636,11 @@ def attention_fwd(
 ) -> tuple[LayerOutput, AttentionCache]:
     """Multi-head attention forward pass plus its cache.
 
+    With ``q_params`` the per-token query projection is picked by a switch
+    router: keys and values come from the shared dense weights, only the
+    query side is expert-routed, and its router's balance loss is attached to
+    the output. The experts are linear maps when ``q_params.w_out`` is None
+    and full FFNs otherwise.
     ``frozen_q_plan`` (a previous cache's ``q_cache.plans[0]``) holds the routed
     query projection's expert choice fixed, as ``switch_ffn_fwd``'s
     ``frozen_plan`` does; it is ignored for dense queries.
@@ -766,22 +743,3 @@ def attention_bwd(
         dx = dx + q_grads["x"]
     grads["x"] = dx.reshape(b, l, d)
     return grads
-
-
-def switch_attention(
-    x: np.ndarray,
-    q_params: SwitchLayerParams,
-    kv_weights: AttentionWeights,
-    attn_config: AttentionConfig,
-    rng: RngStream,
-    mode: str = "train",
-) -> LayerOutput:
-    """Attention whose per-token query projection is picked by a switch router.
-
-    Keys and values come from shared dense weights; only the query side is
-    expert-routed, and the balance loss of its router is attached to the
-    output. The experts are linear maps when ``q_params.w_out`` is None and
-    full FFNs otherwise.
-    """
-    out, _ = attention_fwd(x, kv_weights, attn_config, rng, mode, q_params=q_params)
-    return out

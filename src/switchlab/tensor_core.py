@@ -23,6 +23,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -94,15 +95,25 @@ keep_freed_heap()
 # ---------------------------------------------------------------------------
 
 
+# One Philox per thread, re-keyed for every draw: building a fresh bit
+# generator costs about four times as much as setting this one's state.
+_philox = threading.local()
+_ZERO_WORDS = np.zeros(4, np.uint64)
+
+
 @dataclass
 class RngStream:
     """Reproducible random stream with labeled substreams.
 
-    Each draw builds a fresh Philox generator keyed by the SHA-256 digest of
-    ``(seed, label, counter)`` and then bumps ``counter``. Identical
-    (seed, label, counter) triples therefore produce identical output
-    regardless of how much any earlier draw consumed, and regardless of the
-    order in which sibling substreams are used.
+    Each draw comes from a Philox generator keyed by the SHA-256 digest of
+    ``(seed, label, counter)``, starting at counter 0, and then bumps
+    ``counter``. Identical (seed, label, counter) triples therefore produce
+    identical output regardless of how much any earlier draw consumed, and
+    regardless of the order in which sibling substreams are used.
+
+    Every draw re-keys one generator per thread rather than building a new
+    one, so a generator returned by ``_generator`` is valid only until the
+    next draw from any stream.
     """
 
     seed: int
@@ -119,8 +130,19 @@ class RngStream:
             f"{self.seed}|{self.label}|{self.counter}".encode()
         ).digest()
         self.counter += 1
-        key = int.from_bytes(digest[:16], "little")
-        return np.random.Generator(np.random.Philox(key=key))
+        generator = getattr(_philox, "generator", None)
+        if generator is None:
+            generator = _philox.generator = np.random.Generator(np.random.Philox())
+        # The state Philox(key=int.from_bytes(digest[:16], "little")) starts in.
+        generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": np.frombuffer(digest, "<u8", 2)},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return generator
 
     def normal(self, shape: Sequence[int] | int = ()) -> np.ndarray:
         return self._generator().standard_normal(shape)

@@ -64,7 +64,6 @@ __all__ = [
     "evaluate",
     "batch_for_step",
     "neg_log_perplexity",
-    "distill_loss",
     "init_student_from_teacher",
     "distill_train",
 ]
@@ -282,7 +281,7 @@ class Batch:
     """One step's masked inputs and targets.
 
     Each (target_rows, target_cols) pair names a distinct position, because
-    ``mask_tokens`` samples positions without replacement; the loss gradient
+    ``mask_tokens`` samples positions without replacement; ``model_bwd``
     relies on this to write rather than accumulate per-target rows.
     """
 
@@ -440,12 +439,13 @@ class ModelCache:
     attn_caches: list
     post_attn: list[np.ndarray]
     ffn_caches: list
-    final_hidden: np.ndarray
+    targets: np.ndarray  # [n] flat S*L index of each target, in target order
+    target_hidden: np.ndarray  # [n, d] final hidden state at the targets
 
 
 @dataclass
 class ForwardResult:
-    logits: np.ndarray  # [S, L, V]
+    logits: np.ndarray  # [n_targets, V], row i scores the batch's i-th target
     aux_loss: float
     dropped_fraction: float
     expert_fractions: np.ndarray | None
@@ -453,10 +453,18 @@ class ForwardResult:
 
 
 def model_fwd(
-    model: ToyModel, input_ids: np.ndarray, rng: RngStream, training: bool = True
+    model: ToyModel, batch: Batch, rng: RngStream, training: bool = True
 ) -> ForwardResult:
+    """Run every block over ``batch.input_ids`` and score the targets only.
+
+    Only the batch's masked positions reach a loss, so the output projection
+    runs on the final hidden rows at (target_rows, target_cols), in target
+    order. With two or more targets each logits row equals, bit for bit,
+    that position's row of the full [S*L, V] projection.
+    """
     config = model.config
     mode = "train" if training else "eval"
+    input_ids = batch.input_ids
     s, l = input_ids.shape
     d = config.d_model
     dropout, _ = config.resolved_dropout()
@@ -504,12 +512,19 @@ def model_fwd(
         h = h + y.reshape(s, l, d)
         ffn_caches.append(f_cache)
 
-    logits = h.reshape(s * l, d) @ (
-        model.out_proj if model.out_proj is not None else model.embedding.T
-    )
-    logits = logits.reshape(s, l, -1)
+    targets = batch.target_rows * l + batch.target_cols
+    target_hidden = h.reshape(s * l, d)[targets]
+    # BLAS rounds each row of a product alike for any row count >= 2 only when
+    # the weight operand is C-contiguous; a transposed view can round a short
+    # product differently. The same holds for the head's transpose in model_bwd.
+    if model.out_proj is not None:
+        logits = target_hidden @ model.out_proj
+    else:
+        logits = target_hidden @ np.ascontiguousarray(model.embedding.T)
 
-    cache = ModelCache(input_ids, block_inputs, attn_caches, post_attn, ffn_caches, h)
+    cache = ModelCache(
+        input_ids, block_inputs, attn_caches, post_attn, ffn_caches, targets, target_hidden
+    )
     return ForwardResult(
         logits,
         aux_total,
@@ -522,19 +537,25 @@ def model_fwd(
 def model_bwd(
     model: ToyModel, cache: ModelCache, d_logits: np.ndarray, aux_weight: float = 1.0
 ) -> dict[str, np.ndarray]:
-    """Backprop a [S, L, V] logits gradient; returns grads keyed like named_parameters."""
+    """Backprop the [n_targets, V] gradient of ``model_fwd``'s logits.
+
+    The head's weight gradient is formed from the target rows alone, and
+    ``d_logits @ W.T`` is written into a zero [S*L, d] hidden-state gradient
+    at the targets; a write is enough because ``Batch`` keeps the target
+    positions distinct. Returns grads keyed like ``named_parameters``.
+    """
     config = model.config
     s, l = cache.input_ids.shape
     d = config.d_model
     grads: dict[str, np.ndarray] = {}
 
-    flat_final = cache.final_hidden.reshape(s * l, d)
-    dl = d_logits.reshape(s * l, -1)
+    dh = np.zeros((s * l, d), dtype=d_logits.dtype)
     if model.out_proj is not None:
-        grads["out_proj"] = flat_final.T @ dl
-        dh = (dl @ model.out_proj.T).reshape(s, l, d)
+        grads["out_proj"] = cache.target_hidden.T @ d_logits
+        dh[cache.targets] = d_logits @ np.ascontiguousarray(model.out_proj.T)
     else:
-        dh = (dl @ model.embedding).reshape(s, l, d)
+        dh[cache.targets] = d_logits @ model.embedding
+    dh = dh.reshape(s, l, d)
 
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
@@ -574,7 +595,7 @@ def model_bwd(
     cells = (cache.input_ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
     d_emb = np.bincount(cells, weights=dh.reshape(-1), minlength=v * d).reshape(v, d)
     if model.out_proj is None:
-        d_emb += dl.T @ flat_final  # logits = h @ E^T contributes to the embedding
+        d_emb += d_logits.T @ cache.target_hidden  # logits = h @ E^T
     grads["embedding"] = d_emb.astype(model.embedding.dtype)
     return grads
 
@@ -582,19 +603,19 @@ def model_bwd(
 def masked_cross_entropy(
     logits: np.ndarray, batch: Batch
 ) -> tuple[float, np.ndarray]:
-    """Mean CE over masked positions; also returns d(loss)/d(logits)."""
-    rows, cols, ids = batch.target_rows, batch.target_cols, batch.target_ids
-    picked = logits[rows, cols]  # [n_targets, V]
-    shifted = picked - picked.max(axis=1, keepdims=True)
+    """Mean CE of [n_targets, V] logits against ``batch.target_ids``.
+
+    Also returns d(loss)/d(logits), (softmax - one_hot(target)) / n, of the
+    logits' shape.
+    """
+    ids = batch.target_ids
+    rows = np.arange(ids.size)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
-    logp = shifted[np.arange(ids.size), ids] - logz
-    ce = float(-logp.mean())
-    probs = softmax(picked, axis=-1)
-    d_picked = probs.copy()
-    d_picked[np.arange(ids.size), ids] -= 1.0
-    d_picked /= ids.size
-    d_logits = np.zeros_like(logits)
-    d_logits[rows, cols] = d_picked  # (row, col) pairs are distinct; see Batch
+    ce = float(-(shifted[rows, ids] - logz).mean())
+    d_logits = softmax(logits, axis=-1)
+    d_logits[rows, ids] -= 1.0
+    d_logits /= ids.size
     return ce, d_logits
 
 
@@ -664,7 +685,7 @@ def train_step(
     """One forward/backward/update; mutates model and opt_state in place."""
     step = opt_state.step
     rng = _step_rng(config, step)
-    fwd = model_fwd(model, batch.input_ids, rng, training=True)
+    fwd = model_fwd(model, batch, rng, training=True)
     ce, d_logits = masked_cross_entropy(fwd.logits, batch)
     total = ce + fwd.aux_loss
     if not np.isfinite(total):
@@ -722,7 +743,7 @@ def evaluate(
         )
     heldout = sample_sequences(corpus, num_sequences, root.substream("eval_sequences"))
     batch = _masked_batch(heldout.sequences, config, root.substream("eval_mask"))
-    fwd = model_fwd(model, batch.input_ids, root.substream("eval_model"), training=False)
+    fwd = model_fwd(model, batch, root.substream("eval_model"), training=False)
     ce, _ = masked_cross_entropy(fwd.logits, batch)
     return MetricRow(-1, ce + fwd.aux_loss, ce, fwd.aux_loss, -ce, fwd.dropped_fraction, fwd.expert_fractions)
 
@@ -732,28 +753,19 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-def distill_loss(
-    student_logits: np.ndarray,
-    teacher_logits: np.ndarray,
-    target_ids: np.ndarray,
-    hard_weight: float = 0.75,
-) -> float:
-    """hard_weight * CE(student, targets) + (1 - hard_weight) * CE(student, teacher).
-
-    The teacher distribution is a constant target; equivalently this is the
-    cross-entropy of the student against the mixture
-    hard_weight * one_hot(target) + (1 - hard_weight) * softmax(teacher).
-    """
-    loss, _ = _distill_loss_and_grad(student_logits, teacher_logits, target_ids, hard_weight)
-    return loss
-
-
 def _distill_loss_and_grad(
     student_logits: np.ndarray,
     teacher_logits: np.ndarray,
     target_ids: np.ndarray,
     hard_weight: float,
 ) -> tuple[float, np.ndarray]:
+    """hard_weight * CE(student, targets) + (1 - hard_weight) * CE(student, teacher),
+    and its gradient with respect to the student logits.
+
+    The teacher distribution is a constant target; equivalently this is the
+    cross-entropy of the student against the mixture
+    hard_weight * one_hot(target) + (1 - hard_weight) * softmax(teacher).
+    """
     student_logits = np.asarray(student_logits)
     teacher_logits = np.asarray(teacher_logits)
     if student_logits.shape != teacher_logits.shape:
@@ -844,23 +856,19 @@ def distill_train(
         batch = batch_for_step(corpus, step, student_config)
         rng = _step_rng(student_config, step)
         teacher_fwd = model_fwd(
-            teacher, batch.input_ids, RngStream(config.seed).substream(f"step{step}/teacher"),
+            teacher, batch, RngStream(config.seed).substream(f"step{step}/teacher"),
             training=False,
         )
-        fwd = model_fwd(student, batch.input_ids, rng, training=True)
-        s_logits = fwd.logits[batch.target_rows, batch.target_cols]
-        t_logits = teacher_fwd.logits[batch.target_rows, batch.target_cols]
-        loss, d_picked = _distill_loss_and_grad(
-            s_logits, t_logits, batch.target_ids, student_config.hard_weight
+        fwd = model_fwd(student, batch, rng, training=True)
+        loss, d_logits = _distill_loss_and_grad(
+            fwd.logits, teacher_fwd.logits, batch.target_ids, student_config.hard_weight
         )
         total = loss + fwd.aux_loss
         if not np.isfinite(total):
             raise NumericError(f"non-finite distillation loss at step {step}")
-        d_logits = np.zeros_like(fwd.logits)
-        d_logits[batch.target_rows, batch.target_cols] = d_picked
         grads = model_bwd(student, fwd.cache, d_logits, aux_weight=1.0)
         adam_update(named_parameters(student), grads, opt_state, student_config.learning_rate)
-        nlp = neg_log_perplexity(s_logits, batch.target_ids)
+        nlp = neg_log_perplexity(fwd.logits, batch.target_ids)
         rows.append(
             MetricRow(step, total, loss, fwd.aux_loss, nlp, fwd.dropped_fraction, fwd.expert_fractions)
         )

@@ -358,6 +358,14 @@ def test_distill_command_reports_finite_student_metric(tmp_path, capsys):
         assert (tmp_path / "run" / name).is_file()
 
 
+def test_distill_command_keeps_a_routed_teacher_kind(tmp_path):
+    teachers = {}
+    for kind in ("switch", "moe2"):
+        assert _distill(tmp_path / kind, DISTILL_TINY + [f"train.ffn_kind={kind}"]) == 0
+        teachers[kind] = (tmp_path / kind / "run" / "teacher_metrics.csv").read_bytes()
+    assert teachers["moe2"] != teachers["switch"]
+
+
 def test_distill_command_rejects_invalid_config(tmp_path, capsys):
     assert _distill(tmp_path, DISTILL_TINY + ["train.hard_weight=1.5"]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Numerics foundation: heap setting, rng streams, init, softmax, bf16, relu and one-hot,
 grad checker."""
 
+import hashlib
 import math
 import resource
 import struct
@@ -81,6 +82,28 @@ class TestRngStream:
         draws = RngStream(5).categorical(np.tile(probs, (5000, 1))[:10000])
         frac_last = (draws[1::2] == 2).mean()
         assert abs(frac_last - 0.8) < 0.02
+
+    def test_every_draw_equals_a_freshly_keyed_philox(self):
+        """Re-keying one generator per draw gives the stream a fresh Philox would."""
+        probs = softmax(RngStream(2).normal((6, 4)))
+        cdf = np.cumsum(probs, axis=1)
+        cdf[:, -1] = 1.0
+        draws = [
+            (lambda s: s.normal((3, 5)), lambda g: g.standard_normal((3, 5))),
+            (lambda s: s.uniform(7, -2.0, 3.0), lambda g: g.uniform(-2.0, 3.0, 7)),
+            (lambda s: s.integers(0, 50, 9), lambda g: g.integers(0, 50, size=9)),
+            (lambda s: s.permutation(20), lambda g: g.permutation(20)),
+            (lambda s: s.choice_without_replacement(32, 4), lambda g: g.choice(32, 4, replace=False)),
+            (lambda s: s.categorical(probs), lambda g: (g.uniform(0.0, 1.0, 6)[:, None] > cdf).sum(axis=1)),
+        ]
+        streams = [RngStream(11, "a"), RngStream(11).substream("b").substream("c")]
+        for i, (draw, reference) in enumerate(draws * 2):
+            stream = streams[i % 2]
+            digest = hashlib.sha256(f"{stream.seed}|{stream.label}|{stream.counter}".encode()).digest()
+            fresh = np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+            got, want = draw(stream), reference(fresh)
+            assert got.dtype == want.dtype and np.array_equal(got, want), i
+        assert [s.counter for s in streams] == [6, 6]
 
 
 # ---------------------------------------------------------------------------

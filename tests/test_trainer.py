@@ -53,13 +53,13 @@ def test_loss_gradient_matches_finite_differences(tied):
         model.embedding = p[0]
         if not tied:
             model.out_proj = p[1]
-        fwd = model_fwd(model, batch.input_ids, RngStream(0), training=False)
+        fwd = model_fwd(model, batch, RngStream(0), training=False)
         ce, d_logits = masked_cross_entropy(fwd.logits, batch)
         grads = model_bwd(model, fwd.cache, d_logits)
         return ce, [grads["embedding"]] + ([] if tied else [grads["out_proj"]])
 
     params = [model.embedding] + ([] if tied else [model.out_proj])
-    base = model_fwd(model, batch.input_ids, RngStream(0), training=False)
+    base = model_fwd(model, batch, RngStream(0), training=False)
     # Finite differences are only meaningful away from the relu kinks.
     margin = min(np.abs(c.pre_relu).min() for c in base.cache.ffn_caches)
     assert margin >= 10 * FD_STEP, f"a relu pre-activation sits {margin:.2e} from its kink"
@@ -68,7 +68,7 @@ def test_loss_gradient_matches_finite_differences(tied):
     assert report.passed, report.details
 
 
-def test_masked_cross_entropy_gradient_equals_add_at_scatter():
+def test_masked_cross_entropy_gradient_is_softmax_minus_one_hot():
     config = TrainConfig(vocab=32, seq_len=16, batch_tokens=256, corpus_size=64, seed=5)
     corpus = gen_synthetic_corpus(
         config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
@@ -77,20 +77,72 @@ def test_masked_cross_entropy_gradient_equals_add_at_scatter():
     rng = RngStream(9)
     for step in range(3):
         batch = batch_for_step(corpus, step, config)
-        assert len(set(zip(batch.target_rows, batch.target_cols))) == batch.target_ids.size
-        logits = rng.substream(f"logits{step}").normal(
-            batch.input_ids.shape + (config.vocab,)
-        ).astype(np.float32)
-        _, d_logits = masked_cross_entropy(logits, batch)
-
         n = batch.target_ids.size
-        d_picked = softmax(logits[batch.target_rows, batch.target_cols], axis=-1)
-        d_picked[np.arange(n), batch.target_ids] -= 1.0
-        d_picked /= n
-        expected = np.zeros_like(logits)
-        np.add.at(expected, (batch.target_rows, batch.target_cols), d_picked)
-        assert d_logits.dtype == expected.dtype
+        assert len(set(zip(batch.target_rows, batch.target_cols))) == n  # model_bwd writes rows
+        logits = rng.substream(f"logits{step}").normal((n, config.vocab)).astype(np.float32)
+        ce, d_logits = masked_cross_entropy(logits, batch)
+
+        probs = softmax(logits, axis=-1)
+        expected = (probs - np.eye(config.vocab, dtype=np.float32)[batch.target_ids]) / n
+        assert d_logits.dtype == expected.dtype and d_logits.shape == (n, config.vocab)
         assert np.array_equal(d_logits, expected)
+        log_probs = np.log(probs.astype(np.float64))
+        assert ce == pytest.approx(-log_probs[np.arange(n), batch.target_ids].mean(), rel=1e-6)
+
+
+def _model_and_batches(tied):
+    """A model with a dense and a switch block, a batch, and the same inputs with
+    every position a target: on it ``model_fwd`` projects the whole final hidden
+    state and ``model_bwd`` runs the full-vocabulary head."""
+    config = TrainConfig(
+        vocab=32, seq_len=16, batch_tokens=128, corpus_size=64, d_model=16, d_ff=24,
+        num_heads=2, ffn_kind="switch", tie_embeddings=tied, seed=5,
+    )
+    corpus = gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
+        RngStream(config.seed).substream("corpus"),
+    )
+    model = build_model(config, RouterConfig(num_experts=4), RngStream(5).substream("init"))
+    batch = batch_for_step(corpus, 0, config)
+    s, l = batch.input_ids.shape
+    rows, cols = np.divmod(np.arange(s * l), l)
+    every = Batch(batch.input_ids, rows, cols, np.zeros(s * l, dtype=np.int64))
+    return model, batch, every
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_model_fwd_logits_are_target_rows_of_full_projection(tied):
+    model, batch, every = _model_and_batches(tied)
+    hidden = model_fwd(model, every, RngStream(3)).cache.target_hidden  # [S*L, d]
+    full = (hidden @ (model.embedding.T if tied else model.out_proj)).reshape(
+        batch.input_ids.shape + (-1,)
+    )
+    logits = model_fwd(model, batch, RngStream(3)).logits
+    assert logits.dtype == full.dtype
+    assert np.array_equal(logits, full[batch.target_rows, batch.target_cols])
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_model_bwd_matches_full_logits_reference(tied):
+    model, batch, every = _model_and_batches(tied)
+    fwd = model_fwd(model, batch, RngStream(3))
+    _, d_logits = masked_cross_entropy(fwd.logits, batch)
+    grads = model_bwd(model, fwd.cache, d_logits)
+
+    full = model_fwd(model, every, RngStream(3))
+    d_full = np.zeros(batch.input_ids.shape + (d_logits.shape[1],), dtype=d_logits.dtype)
+    d_full[batch.target_rows, batch.target_cols] = d_logits
+    reference = model_bwd(model, full.cache, d_full.reshape(-1, d_logits.shape[1]))
+
+    head = "embedding" if tied else "out_proj"
+    assert grads.keys() == reference.keys()
+    for name, want in reference.items():
+        got = grads[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        if name == head:
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
+        else:
+            assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize(
