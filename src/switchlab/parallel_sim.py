@@ -3,14 +3,15 @@
 Cores form an n x m grid: token batches split across the n data-parallel
 rows, feed-forward hidden dimensions split across the m model-parallel
 columns, and under the expert strategies row e additionally owns expert e's
-weights. The simulator runs one kernel per core, in a fixed order: row i
-routes its own tokens, and core (i, j) runs the switch layer's own expert
-kernel on them with column j's slice of every expert. A tree sum over the
-columns stands in for the all-reduce. The all-to-all trips to and from the
-expert owners would only move slots between cores and back, so they are
-not run; a ledger records each collective the mesh would run, with its
-bytes. The result can be compared bit-for-bit (m = 1) or to 1e-6 (m > 1,
-different reduction order) against the plain single-core layer.
+weights. The simulator routes every row's tokens in one grouped ``route``
+call, one group per row, as each core would route its own; then each
+column j runs the switch layer's own expert kernel once, for all rows, with
+column j's slice of every expert. A tree sum over the columns stands in for
+the all-reduce. The all-to-all trips to and from the expert owners would
+only move slots between cores and back, so they are not run; a ledger
+records each collective the mesh would run, with its bytes. The result can
+be compared bit-for-bit (m = 1) or to 1e-6 (m > 1, different reduction
+order) against the plain single-core layer.
 
 All byte counts are per core: an all-to-all of an [E, C, d_model] buffer
 costs E*C*d_model elements on each participating core, an all-reduce costs
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .router import LoadBalanceStats, RouterConfig, route
+from .router import RouterConfig, route
 from .switch_layer import LayerOutput, SwitchLayerParams, _expert_buffers_fwd, _Slots
 from .tensor_core import InvalidArgumentError, RngStream
 
@@ -140,16 +141,18 @@ def run_sharded_switch_layer(
 ) -> tuple[LayerOutput, list[CommRecord]]:
     """Run the switch FFN over the mesh and return output plus comm ledger.
 
-    Every strategy takes one path. Row i routes its own tokens; core (i, j)
-    runs the single-core expert kernel (index gather into row i's [E, C, d]
-    slots, expert FFN, gate-weighted index scatter) with column j's d_ff
-    slice of every expert; the column outputs are tree-summed and the
+    Every strategy takes one path. One ``route`` call on the tokens as
+    [n, T/n, d] routes each row's tokens as a group of its own; then column
+    j runs the single-core expert kernel (index gather into the rows'
+    [n, E, C, d] slots, expert FFN, gate-weighted index scatter) with its
+    d_ff slice of every expert. The column outputs are tree-summed and the
     dropped tokens pass through. The ledger lists what the mesh would move:
     the all-to-all to the expert owners and back (expert strategies, n > 1)
     and the all-reduce of the column partials (m > 1). Evaluation
-    semantics: no dropout, no exploration noise. Capacity is budgeted per
-    row, as each core routes blind to the others; the aux loss is the mean
-    of the per-row losses.
+    semantics: no dropout, no exploration noise, and no draw from ``rng``'s
+    ``route`` substream. Capacity is budgeted per row, as each core routes
+    blind to the others; f, P, the aux loss and the dropped fraction are the
+    means of the per-row ones.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -172,40 +175,30 @@ def run_sharded_switch_layer(
         raise InvalidArgumentError(f"d_ff {d_ff} not divisible by m={m} model-parallel ways")
 
     ff = d_ff // m
-    columns = [slice(j * ff, (j + 1) * ff) for j in range(m)]
-    plans, stats_rows, row_outputs = [], [], []
-    for i, xi in enumerate(np.split(x, n)):
-        plan, stats = route(
-            xi, params.w_router, router_config, rng.substream(f"core{i}/route"), "eval"
-        )
-        slots = _Slots.from_plan(plan, router_config.selective_precision)
-        y_parts = [
-            _expert_buffers_fwd(
-                xi, slots, params.w_in[:, :, cols], params.w_out[:, cols, :], 0.0, None, "eval",
-            )[0]
-            for cols in columns
-        ]
-        y_i = _tree_sum(y_parts)
-        y_i[plan.dropped] = xi[plan.dropped]
-        plans.append(plan)
-        stats_rows.append(stats)
-        row_outputs.append(y_i)
+    plan, stats = route(
+        x.reshape(n, num_tokens // n, d_model), params.w_router, router_config,
+        rng.substream("route"), "eval",
+    )
+    slots = _Slots.from_plan(plan, router_config.selective_precision)
+    y = _tree_sum([
+        _expert_buffers_fwd(
+            x, slots, params.w_in[:, :, cols], params.w_out[:, cols, :], 0.0, None, "eval",
+        )[0]
+        for cols in (slice(j * ff, (j + 1) * ff) for j in range(m))
+    ])
+    y[plan.dropped] = x[plan.dropped]
 
     records: list[CommRecord] = []
     if mesh.expert_sharded and n > 1:
         # Slots travel to their expert's owner row and back.
         a2a_width = BF16_BYTES if router_config.selective_precision else FLOAT32_BYTES
-        a2a_elements = num_experts * plans[0].capacity * d_model
+        a2a_elements = num_experts * plan.capacity * d_model
         records += [CommRecord("all_to_all", a2a_elements, a2a_width) for _ in range(2)]
     if m > 1:
         records.append(CommRecord("all_reduce", (num_tokens // n) * d_model, FLOAT32_BYTES))
 
-    f = np.mean([s.f for s in stats_rows], axis=0)
-    p = np.mean([s.P for s in stats_rows], axis=0)
-    aux = float(np.mean([s.aux_loss for s in stats_rows]))
-    dropped = float(np.mean([plan.dropped.mean() for plan in plans]))
-    y = np.concatenate(row_outputs)
-    return LayerOutput(y, aux, LoadBalanceStats(f, p, aux), dropped), records
+    dropped = float(plan.dropped.reshape(n, -1).mean(axis=1).mean())
+    return LayerOutput(y, stats.aux_loss, stats, dropped), records
 
 
 # ---------------------------------------------------------------------------

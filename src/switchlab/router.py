@@ -3,16 +3,20 @@
 A learned linear map plus softmax scores each token against N experts; every
 token goes to its single best expert, each expert has a fixed slot budget,
 and tokens that arrive after an expert is full are dropped (the layer passes
-them through unchanged). The module also provides the differentiable
-load-balance penalty that keeps the router from collapsing onto a few
-experts, four exploration policies for the routing decision, and an optional
-iterative rescue pass that re-sends dropped tokens to their next-best
-experts.
+them through unchanged). Tokens may come in G groups of S, ``[G, S, d]``,
+as the cores of a mesh route them: each group then has its own slot budget
+and statistics, as if routed alone. The module also provides the
+differentiable load-balance penalty that keeps the router from collapsing
+onto a few experts, four exploration policies for the routing decision, and
+an optional iterative rescue pass that re-sends dropped tokens to their
+next-best experts.
 
 Conventions fixed here and relied on by tests:
   - argmax ties break to the lowest expert index,
   - capacity is ceil((tokens / experts) * capacity_factor), never below 1,
-  - expert slots fill in token order (cumulative-count semantics),
+    counted per group,
+  - expert slots fill in token order (cumulative-count semantics), and the
+    slot budget of expert e in group g is keyed g·E + e,
   - the dispatch-fraction vector f counts pre-capacity intent, not
     post-drop placement, and is treated as a constant by the gradient.
 """
@@ -29,7 +33,6 @@ from .tensor_core import (
     InvalidArgumentError,
     NumericError,
     RngStream,
-    one_hot,
     quantize_bf16,
     softmax,
 )
@@ -105,10 +108,12 @@ class RouterConfig:
 class DispatchPlan:
     """Per-token routing outcome.
 
-    ``position_in_expert`` is the token's slot inside its expert's buffer,
-    valid only where ``dropped`` is False (dropped entries hold -1). The full
-    softmax output is retained in ``router_probs`` for the balance loss and
-    for rerouting. The two trailing fields cache what the training backward
+    Arrays are flat over all T = G·S tokens, group-major. ``capacity`` is the
+    slot budget of one expert in one group, and ``position_in_expert`` is the
+    token's slot inside its group's buffer for its expert, valid only where
+    ``dropped`` is False (dropped entries hold -1). The full softmax output
+    is retained in ``router_probs`` for the balance loss and for rerouting.
+    ``router_inputs`` and ``policy_scale`` cache what the training backward
     pass needs (post-policy router input and the elementwise policy scale);
     they are not part of the routing contract.
     """
@@ -121,6 +126,7 @@ class DispatchPlan:
     router_probs: np.ndarray  # [T, N] float
     router_inputs: np.ndarray | None = field(default=None, repr=False)
     policy_scale: np.ndarray | None = field(default=None, repr=False)
+    num_groups: int = 1
 
     @property
     def num_tokens(self) -> int:
@@ -129,6 +135,10 @@ class DispatchPlan:
     @property
     def num_experts(self) -> int:
         return int(self.router_probs.shape[1])
+
+    def slot_key(self, tokens: np.ndarray, experts: np.ndarray) -> np.ndarray:
+        """group·E + expert: the slot budget that ``tokens`` fill at ``experts``."""
+        return _slot_key(tokens, experts, self.num_tokens // self.num_groups, self.num_experts)
 
     def copy(self) -> "DispatchPlan":
         return DispatchPlan(
@@ -140,12 +150,16 @@ class DispatchPlan:
             self.router_probs,
             self.router_inputs,
             self.policy_scale,
+            self.num_groups,
         )
 
 
 @dataclass
 class LoadBalanceStats:
-    """Dispatch fractions f, mean router probabilities P, and their penalty."""
+    """Dispatch fractions f, mean router probabilities P, and their penalty.
+
+    For grouped tokens each is the mean over the groups of the group's own.
+    """
 
     f: np.ndarray  # [N] fraction of tokens whose argmax intent is expert i
     P: np.ndarray  # [N] mean router probability of expert i
@@ -215,29 +229,43 @@ def route(
     overflow as dropped. Statistics (f, P, and the balance penalty) come from
     the softmax output and the pre-capacity selection.
 
+    ``token_inputs`` is ``[T, d]``, or ``[G, S, d]`` for G groups of S
+    tokens. A group gets ``expert_capacity(S, E, capacity_factor)`` slots per
+    expert and its own statistics, and the returned ones are their means over
+    the groups. Each group's logits come from the same 2-D product that a
+    call on that group alone runs, so at argmax routing the plan and the
+    statistics equal those of G separate calls bit for bit; the plan's arrays
+    are flat over the G·S tokens.
+
     ``frozen_assignment`` re-uses a previous plan's expert choice, drop flags
     and slot positions while recomputing probabilities and gates from the
     current inputs and weights. The training backward pass and the gradient
     checker rely on this: selection is piecewise constant, so its gradient
-    path is the gate values alone.
+    path is the gate values alone. It takes ``[T, d]`` inputs only, since no
+    backward pass runs on groups.
     """
     x = np.asarray(token_inputs)
     w = np.asarray(w_router)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+    if x.ndim not in (2, 3) or w.ndim != 2 or x.shape[-1] != w.shape[0]:
         raise InvalidArgumentError(
             f"route: inputs {x.shape} and router weights {w.shape} do not agree"
         )
     if mode not in ("train", "eval"):
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if x.ndim == 3 and frozen_assignment is not None:
+        raise InvalidArgumentError("route: a frozen assignment takes [tokens, d] inputs")
 
-    num_tokens = x.shape[0]
+    num_groups = x.shape[0] if x.ndim == 3 else 1
+    group_size = x.shape[-2]
+    num_tokens = num_groups * group_size
     num_experts = config.num_experts
     if w.shape[1] != num_experts:
         raise InvalidArgumentError(
             f"route: router weights {w.shape} disagree with num_experts={num_experts}"
         )
 
-    router_in, scale = _apply_policy_with_scale(x, config, rng, mode)
+    flat = x.reshape(num_tokens, x.shape[-1])
+    router_in, scale = _apply_policy_with_scale(flat, config, rng, mode)
     if config.selective_precision:
         # Emulate bfloat16 transport into the router; the math that follows
         # stays at full float32 precision.
@@ -246,7 +274,9 @@ def route(
 
     with np.errstate(over="ignore", invalid="ignore"):
         # Overflow, or non-finite weights, surface as a NumericError below.
-        logits = router_in @ w
+        # One 2-D product per group: BLAS may round a row differently in a
+        # product with another row count.
+        logits = (router_in.reshape(x.shape) @ w).reshape(num_tokens, num_experts)
     if (
         mode == "train"
         and config.policy == "input_jitter"
@@ -263,25 +293,25 @@ def route(
 
     if frozen_assignment is not None:
         expert_index = frozen_assignment.expert_index
+    elif mode == "train" and config.policy == "sample_softmax":
+        expert_index = rng.categorical(probs)
+    else:
+        expert_index = np.argmax(probs, axis=1)  # ties go to the lowest index
+    tokens = np.arange(num_tokens)
+    key = _slot_key(tokens, expert_index, group_size, num_experts)
+    if frozen_assignment is not None:
         dropped = frozen_assignment.dropped.copy()
         position = frozen_assignment.position_in_expert.copy()
         capacity = frozen_assignment.capacity
     else:
-        if mode == "train" and config.policy == "sample_softmax":
-            expert_index = rng.categorical(probs)
-        else:
-            expert_index = np.argmax(probs, axis=1)  # ties go to the lowest index
-        capacity = expert_capacity(num_tokens, num_experts, config.capacity_factor)
+        capacity = expert_capacity(group_size, num_experts, config.capacity_factor)
         position, _ = fill_slots(
-            expert_index, np.zeros(num_experts, dtype=np.int64), capacity
+            key, np.zeros(num_groups * num_experts, dtype=np.int64), capacity
         )
         dropped = position < 0
 
-    gate = probs[np.arange(num_tokens), expert_index]
-
-    intent_mask = one_hot(expert_index, num_experts)
-    aux, f_vec, p_vec = _balance_terms(probs, intent_mask, config.alpha)
-    stats = LoadBalanceStats(f_vec, p_vec, aux)
+    gate = probs[tokens, expert_index]
+    stats = _balance_stats(probs, key, num_groups, config.alpha)
 
     plan = DispatchPlan(
         expert_index=np.asarray(expert_index, dtype=np.int64),
@@ -292,12 +322,19 @@ def route(
         router_probs=probs,
         router_inputs=router_in,
         policy_scale=scale,
+        num_groups=num_groups,
     )
 
     if config.ntlb_stages > 0 and frozen_assignment is None:
         plan = ntlb_reroute(plan, config.ntlb_stages)
 
     return plan, stats
+
+
+def _slot_key(
+    tokens: np.ndarray, experts: np.ndarray, group_size: int, num_experts: int
+) -> np.ndarray:
+    return tokens // group_size * num_experts + experts
 
 
 def _check_finite_rows(a: np.ndarray, what: str) -> None:
@@ -309,20 +346,23 @@ def _check_finite_rows(a: np.ndarray, what: str) -> None:
 def fill_slots(
     choices: np.ndarray, counts: np.ndarray, capacity: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Offer tokens, in token order, to the experts in ``choices``.
+    """Offer tokens, in token order, to the slot budgets in ``choices``.
 
-    Expert e already holds ``counts[e]`` tokens, so among the tokens choosing
+    A choice is an expert, or a group·E + expert key for grouped tokens.
+    Budget e already holds ``counts[e]`` tokens, so among the tokens choosing
     e the first ``capacity - counts[e]`` land, in slots ``counts[e]``,
     ``counts[e] + 1``, ...; the rest are turned away. Returns each token's
-    slot (-1 where turned away) and the per-expert counts afterwards.
+    slot (-1 where turned away) and the per-budget counts afterwards.
     """
     choices = np.asarray(choices, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     n = counts.shape[0]
     # Rank of each token among the tokens choosing the same expert: a stable
     # sort groups them by expert in token order, and each group's rank is
-    # the offset from where its run starts.
-    order = np.argsort(choices, kind="stable")
+    # the offset from where its run starts. A stable order is unique, and
+    # NumPy sorts 16-bit keys by radix, several times faster.
+    key = choices.astype(np.int16) if n <= 1 << 15 else choices
+    order = np.argsort(key, kind="stable")
     per_expert = np.bincount(choices, minlength=n)
     run_start = np.cumsum(per_expert) - per_expert
     rank = np.empty_like(choices)
@@ -333,14 +373,26 @@ def fill_slots(
     return position, counts + np.bincount(choices[landed], minlength=n)
 
 
-def _balance_terms(
-    probs: np.ndarray, mask: np.ndarray, alpha: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    f_vec = mask.mean(axis=0, dtype=np.float64)
-    p_vec = probs.mean(axis=0, dtype=np.float64)
-    n = probs.shape[1]
-    aux = float(alpha * n * np.sum(f_vec * p_vec))
-    return aux, f_vec, p_vec
+def _balance_stats(
+    probs: np.ndarray, key: np.ndarray, num_groups: int, alpha: float
+) -> LoadBalanceStats:
+    """Each group's f, P and penalty from its intent slot keys, averaged over
+    the groups.
+
+    f counts the intent with ``bincount``, which equals the column mean of
+    the intent one-hot bit for bit: both are the exact count over S. Each
+    mean is written as ``np.mean``'s own arithmetic, a sum over the count,
+    without its per-call overhead.
+    """
+    num_tokens, n = probs.shape
+    group_size = num_tokens // num_groups
+    counts = np.bincount(key, minlength=num_groups * n)
+    f = counts.reshape(num_groups, n) / group_size
+    p = probs.reshape(num_groups, group_size, n).sum(axis=1, dtype=np.float64) / group_size
+    aux = alpha * n * (f * p).sum(axis=1)
+    return LoadBalanceStats(
+        f.sum(axis=0) / num_groups, p.sum(axis=0) / num_groups, float(aux.sum() / num_groups)
+    )
 
 
 def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
@@ -348,10 +400,10 @@ def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
 
     Reroute pass k offers each still-dropped token its (k+1)-th
     highest-probability expert; the token lands there if that expert has
-    spare capacity, filling in token order. A rerouted token's gate becomes
-    its router probability for the expert it actually lands on. The dropped
-    count never increases, and the process stops after ``stages`` passes or
-    as soon as nothing remains dropped. Plain routing is the stages=0 fixed
+    spare capacity in the token's group, filling in token order. A rerouted
+    token's gate becomes its router probability for the expert it actually
+    lands on. The dropped count never increases, and the process stops after
+    ``stages`` passes or as soon as nothing remains dropped. Plain routing is the stages=0 fixed
     point; passing more stages than there are alternative experts clamps
     with a warning.
     """
@@ -371,8 +423,9 @@ def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
 
     # Stable descending sort: preference rank r of token t is order[t, r].
     order = np.argsort(-out.router_probs, axis=1, kind="stable")
+    kept = np.flatnonzero(~out.dropped)
     counts = np.bincount(
-        out.expert_index[~out.dropped], minlength=n
+        out.slot_key(kept, out.expert_index[kept]), minlength=out.num_groups * n
     )
 
     for k in range(1, stages + 1):
@@ -380,7 +433,7 @@ def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
         if waiting.size == 0:
             break
         candidate = order[waiting, k]
-        position, counts = fill_slots(candidate, counts, out.capacity)
+        position, counts = fill_slots(out.slot_key(waiting, candidate), counts, out.capacity)
         landed = position >= 0
         t, e = waiting[landed], candidate[landed]
         out.expert_index[t] = e

@@ -203,7 +203,7 @@ def _ffn_fwd(
     ``w_out`` is None.
 
     The weights are one 2-D matrix each, or [E, ., .] stacks applied to an
-    [E, C, d] buffer, one 2-D product per expert.
+    [E, C, d] or [G, E, C, d] buffer, one 2-D product per expert.
     """
     h = x @ w_in
     if w_out is None:
@@ -261,8 +261,12 @@ def dense_ffn_bwd(
 @dataclass
 class _Slots:
     """Where a plan puts each token: row ``token[i]`` of the input sits in
-    slot ``slot[i]`` of expert ``expert[i]``, and its output is scaled by
+    row ``row[i]`` of the flat expert buffer, and its output is scaled by
     ``gate[i]``.
+
+    The buffer is ``[E, C, d]``, or ``[G, E, C, d]`` for grouped tokens, and
+    a token in slot c of expert e in group g sits in its flat row
+    ``(g·E + e)·C + c``. Rows move with one flat index, by ``take``.
 
     Only kept tokens with a nonzero gate occupy a slot. With selective
     precision the gate is bfloat16-quantized first, so a kept token whose
@@ -271,16 +275,14 @@ class _Slots:
 
     A top-k map holds every rank's entries rank-major: rank r owns entries
     ``offsets[r]:offsets[r + 1]``. The ranks fill one capacity budget, so
-    no (expert, slot) pair repeats, and each rank lists a token at most once.
+    no buffer row repeats, and each rank lists a token at most once.
     """
 
     token: np.ndarray  # [K] int
-    expert: np.ndarray  # [K] int
-    slot: np.ndarray  # [K] int
+    row: np.ndarray  # [K] int
     gate: np.ndarray  # [K] float
     num_tokens: int
-    num_experts: int
-    capacity: int
+    buffer_shape: tuple[int, ...]  # (E, C) or (G, E, C)
     offsets: tuple[int, ...]  # rank boundaries into the K entries
 
     @classmethod
@@ -291,9 +293,13 @@ class _Slots:
             gate = quantize_bf16(gate)
         live = gate != 0
         token, gate = token[live], gate[live]
+        key = plan.slot_key(token, plan.expert_index[token])
+        shape = (plan.num_experts, plan.capacity)
+        if plan.num_groups > 1:
+            shape = (plan.num_groups,) + shape
         return cls(
-            token, plan.expert_index[token], plan.position_in_expert[token], gate,
-            plan.num_tokens, plan.num_experts, plan.capacity, (0, token.size),
+            token, key * plan.capacity + plan.position_in_expert[token], gate,
+            plan.num_tokens, shape, (0, token.size),
         )
 
     @classmethod
@@ -302,31 +308,34 @@ class _Slots:
         ranks = [cls.from_plan(p, selective_precision) for p in plans]
         cat = lambda name: np.concatenate([getattr(r, name) for r in ranks])
         return cls(
-            cat("token"), cat("expert"), cat("slot"), cat("gate"),
-            ranks[0].num_tokens, ranks[0].num_experts, ranks[0].capacity,
+            cat("token"), cat("row"), cat("gate"), ranks[0].num_tokens, ranks[0].buffer_shape,
             tuple(np.cumsum([0] + [r.token.size for r in ranks]).tolist()),
         )
 
+    def take(self, buf: np.ndarray) -> np.ndarray:
+        """The [K, d] rows of the entries' slots in a buffer of ``buffer_shape``."""
+        return buf.reshape(-1, buf.shape[-1]).take(self.row, axis=0)
+
     def gather(self, x: np.ndarray, gated: bool = False) -> np.ndarray:
-        """[T, d] rows, optionally gate-scaled, into a zero-padded [E, C, d] buffer."""
-        rows = x[self.token]
+        """[T, d] rows, optionally gate-scaled, into a zero-padded buffer."""
+        rows = x.take(self.token, axis=0)
         if gated:
             rows = rows * self.gate[:, None]
-        buf = np.zeros((self.num_experts, self.capacity, x.shape[1]), dtype=rows.dtype)
-        buf[self.expert, self.slot] = rows
-        return buf
+        buf = np.zeros((math.prod(self.buffer_shape), x.shape[1]), dtype=rows.dtype)
+        buf[self.row] = rows
+        return buf.reshape(self.buffer_shape + (x.shape[1],))
 
     def scatter(self, buf: np.ndarray, gated: bool = False) -> np.ndarray:
-        """[E, C, d] slots, optionally gate-scaled, back onto their [T, d] rows; zero elsewhere.
+        """Buffer slots, optionally gate-scaled, back onto their [T, d] rows; zero elsewhere.
 
         The first rank assigns its rows and later ranks add theirs in rank
         order: since a rank lists each token at most once, this is the
         per-rank sum ``y_0 + y_1 + ...`` bit for bit.
         """
-        rows = buf[self.expert, self.slot]
+        rows = self.take(buf)
         if gated:
             rows = rows * self.gate[:, None]
-        out = np.zeros((self.num_tokens, buf.shape[2]), dtype=rows.dtype)
+        out = np.zeros((self.num_tokens, buf.shape[-1]), dtype=rows.dtype)
         bounds = self.offsets
         out[self.token[: bounds[1]]] = rows[: bounds[1]]
         for lo, hi in zip(bounds[1:], bounds[2:]):
@@ -354,9 +363,11 @@ def _expert_buffers_fwd(
 
     The gather and scatter move rows by index, so the cost is linear in the
     token count. The experts run the dense FFN's body over the padded
-    [E, C, d] stack, a 2-D BLAS product per expert whose rows depend on their
-    own slot alone; this keeps the one-hot einsum form's arithmetic and a
-    single-expert layer bit-identical to the dense baseline.
+    [E, C, d] stack, or [G, E, C, d] for grouped tokens: a 2-D BLAS product
+    per expert (and group) whose rows depend on their own slot alone. This
+    keeps the one-hot einsum form's arithmetic, a single-expert layer
+    bit-identical to the dense baseline, and each group bit-identical to
+    that group run alone.
     """
     expert_out, ffn = _ffn_fwd(slots.gather(x), w_in, w_out, expert_dropout, rng, mode)
     y = slots.scatter(expert_out, gated=True)
@@ -370,9 +381,7 @@ def _expert_buffers_bwd(
     slots = cache.slots
     # einsum reduces over d the way the one-hot d_combine einsum did, which
     # keeps the gate gradient bit-identical to that form.
-    d_gate = np.einsum(
-        "kd,kd->k", grad_y[slots.token], cache.expert_out[slots.expert, slots.slot]
-    )
+    d_gate = np.einsum("kd,kd->k", grad_y[slots.token], slots.take(cache.expert_out))
     d_expert_in, dw_in, dw_out = _ffn_bwd(slots.gather(grad_y, gated=True), cache.ffn)
     return slots.scatter(d_expert_in), d_gate, dw_in, dw_out
 
@@ -414,6 +423,8 @@ def _routed_ffn_fwd(
     from the current inputs and weights.
     """
     x = np.asarray(x)
+    if x.ndim != 2:
+        raise InvalidArgumentError(f"moe_topk_ffn: expected [tokens, d_model], got {x.shape}")
     n = router_config.num_experts
     if k > n:
         raise InvalidArgumentError(f"moe_topk_ffn: k={k} exceeds num_experts={n}")

@@ -435,9 +435,7 @@ def named_parameters(model: ToyModel) -> dict[str, np.ndarray]:
 @dataclass
 class ModelCache:
     input_ids: np.ndarray
-    block_inputs: list[np.ndarray]  # hidden state entering each block
     attn_caches: list
-    post_attn: list[np.ndarray]
     ffn_caches: list
     targets: np.ndarray  # [n] flat S*L index of each target, in target order
     target_hidden: np.ndarray  # [n, d] final hidden state at the targets
@@ -470,13 +468,12 @@ def model_fwd(
     dropout, _ = config.resolved_dropout()
 
     h = model.embedding[input_ids]
-    block_inputs, attn_caches, post_attn, ffn_caches = [], [], [], []
+    attn_caches, ffn_caches = [], []
     aux_total = 0.0
     dropped, fractions = [], []
     attn_config = AttentionConfig(config.num_heads, model.router_config)
 
     for i, blk in enumerate(model.blocks):
-        block_inputs.append(h)
         attn_out, a_cache = attention_fwd(
             h, blk.attn_weights, attn_config, rng.substream(f"block{i}.attn"),
             mode, q_params=blk.attn_q_switch,
@@ -486,7 +483,6 @@ def model_fwd(
             dropped.append(attn_out.dropped_fraction)
             fractions.append(attn_out.stats.f)
         h = h + attn_out.y
-        post_attn.append(h)
         attn_caches.append(a_cache)
 
         flat = h.reshape(s * l, d)
@@ -522,9 +518,7 @@ def model_fwd(
     else:
         logits = target_hidden @ np.ascontiguousarray(model.embedding.T)
 
-    cache = ModelCache(
-        input_ids, block_inputs, attn_caches, post_attn, ffn_caches, targets, target_hidden
-    )
+    cache = ModelCache(input_ids, attn_caches, ffn_caches, targets, target_hidden)
     return ForwardResult(
         logits,
         aux_total,
@@ -656,18 +650,27 @@ def adam_update(
     state.step += 1
     t = state.step
     for name, p in params.items():
-        g = grads[name].astype(np.float32)
+        g = grads[name].astype(np.float32, copy=False)
         if name not in state.m:
             state.m[name] = np.zeros_like(p, dtype=np.float32)
             state.v[name] = np.zeros_like(p, dtype=np.float32)
         m, v = state.m[name], state.v[name]
+        # In place, in the operation order of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   p -= lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps)
+        # through two float32 scratch buffers, which gives the same bits.
+        a, b = np.empty_like(m), np.empty_like(m)
         m *= state.beta1
-        m += (1 - state.beta1) * g
+        m += np.multiply(g, 1 - state.beta1, out=a)
         v *= state.beta2
-        v += (1 - state.beta2) * g * g
-        m_hat = m / (1 - state.beta1**t)
-        v_hat = v / (1 - state.beta2**t)
-        p -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+        np.multiply(g, 1 - state.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1 - state.beta1**t, out=a)
+        a *= lr
+        np.divide(v, 1 - state.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        p -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------

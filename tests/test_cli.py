@@ -14,7 +14,7 @@ from switchlab.trainer import AdamState, TrainConfig, build_model, named_paramet
 
 
 def _occupied_slots(cache):
-    return cache.ffn.pre_relu[cache.slots.expert, cache.slots.slot]
+    return cache.slots.take(cache.ffn.pre_relu)
 
 
 # Cases that apply a relu: finite differences are only valid away from its

@@ -33,7 +33,6 @@ from switchlab.tensor_core import (
     NumericError,
     RngStream,
     grad_check,
-    one_hot,
     quantize_bf16,
     softmax,
 )
@@ -378,7 +377,7 @@ class TestNtlb:
                     if expert_capacity(tokens, n, cf) != capacity:
                         continue
                     for prefs in itertools.product(range(n), repeat=tokens):
-                        base = 2.0 * one_hot(np.array(prefs), n) + 0.1 * np.arange(n)
+                        base = 2.0 * np.eye(n)[list(prefs)] + 0.1 * np.arange(n)
                         plan, _ = plan_from_preferences(base.astype(np.float32), n, cf)
                         probs = plan.router_probs
                         prev_dropped = plan.dropped.sum()
@@ -422,6 +421,50 @@ class TestNtlb:
         )
         assert np.array_equal(stats_plain.f, stats_ntlb.f)
         assert stats_plain.aux_loss == stats_ntlb.aux_loss
+
+
+# ---------------------------------------------------------------------------
+# Grouped routing
+# ---------------------------------------------------------------------------
+
+
+class TestGroupedRoute:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RouterConfig(8),
+            RouterConfig(8, capacity_factor=0.5, ntlb_stages=1),
+            RouterConfig(8, capacity_factor=0.5, ntlb_stages=2),
+            RouterConfig(8, capacity_factor=0.5, selective_precision=True, ntlb_stages=1),
+            RouterConfig(8, capacity_factor=0.01),
+        ],
+        ids=["argmax", "ntlb1", "ntlb2", "selective_precision", "capacity1"],
+    )
+    def test_groups_equal_separate_calls(self, cfg):
+        gen = np.random.default_rng(5)
+        x = gen.standard_normal((4, 48, 16)).astype(np.float32)
+        w = gen.standard_normal((16, 8)).astype(np.float32)
+        plan, stats = route(x, w, cfg, RngStream(0), "eval")
+        rows = [route(xg, w, cfg, RngStream(0), "eval") for xg in x]
+        assert plan.num_groups == 4 and plan.capacity == rows[0][0].capacity
+        assert plan.dropped.any() or cfg.capacity_factor > 1
+        for name in (
+            "expert_index", "gate", "position_in_expert", "dropped", "router_probs",
+            "router_inputs",
+        ):
+            got = getattr(plan, name)
+            want = np.concatenate([getattr(p, name) for p, _ in rows])
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert np.array_equal(stats.f, np.mean([s.f for _, s in rows], axis=0))
+        assert np.array_equal(stats.P, np.mean([s.P for _, s in rows], axis=0))
+        assert stats.aux_loss == float(np.mean([s.aux_loss for _, s in rows]))
+
+    def test_frozen_assignment_rejects_groups(self):
+        x = np.ones((2, 3, 4), dtype=np.float32)
+        w = np.eye(4, 2, dtype=np.float32)
+        plan, _ = route(x.reshape(6, 4), w, ARGMAX, RngStream(0), "train")
+        with pytest.raises(InvalidArgumentError, match="frozen"):
+            route(x, w, ARGMAX, RngStream(0), "train", frozen_assignment=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ all its ranks through one shared buffer; its reference runs each rank
 through its own one-hot buffers and sums them.
 """
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -58,6 +58,8 @@ class OneHotSlots:
     ``token``/``expert``/``slot`` list every kept token, which is where the
     one-hot backward reads the gate gradient off ``d_combine``. It holds one
     rank, so it stands in for the switch layer (the routed FFN at k = 1).
+    A grouped plan's one-hot axis runs over its G·E slot budgets, keyed
+    v = g·E + e, and budget v runs expert v mod E.
     """
 
     dispatch: np.ndarray
@@ -69,6 +71,13 @@ class OneHotSlots:
 
     @classmethod
     def from_plan(cls, plan, selective_precision):
+        group_size = plan.num_tokens // plan.num_groups
+        key = np.arange(plan.num_tokens) // group_size * plan.num_experts + plan.expert_index
+        # build_dispatch_combine reads the one-hot width off router_probs.
+        plan = replace(
+            plan, expert_index=key, router_probs=np.tile(plan.router_probs, plan.num_groups),
+            num_groups=1,
+        )
         dispatch, combine = build_dispatch_combine(plan, selective_precision)
         kept = np.flatnonzero(~plan.dropped)
         return cls(
@@ -92,14 +101,15 @@ class OneHotSlots:
 
 def onehot_buffers_fwd(x, slots, w_in, w_out, expert_dropout, rng, mode):
     expert_in = slots.gather(x)
-    num_experts = w_in.shape[0]
+    # One 2-D product per slot budget v, with expert v mod E's weights.
+    experts = [(v, v % w_in.shape[0]) for v in range(expert_in.shape[0])]
     if w_out is None:
-        expert_out = np.stack([expert_in[e] @ w_in[e] for e in range(num_experts)])
+        expert_out = np.stack([expert_in[v] @ w_in[e] for v, e in experts])
         pre_relu = activated = drop_scale = None
     else:
-        pre_relu = np.stack([expert_in[e] @ w_in[e] for e in range(num_experts)])
+        pre_relu = np.stack([expert_in[v] @ w_in[e] for v, e in experts])
         activated, drop_scale = sl._dropout(relu(pre_relu), expert_dropout, rng, mode)
-        expert_out = np.stack([activated[e] @ w_out[e] for e in range(num_experts)])
+        expert_out = np.stack([activated[v] @ w_out[e] for v, e in experts])
     y = slots.scatter(expert_out, gated=True)
     cache = SimpleNamespace(
         slots=slots, expert_in=expert_in, pre_relu=pre_relu, activated=activated,
@@ -411,6 +421,31 @@ class TestEquivalences:
         rows = [switch_ffn(xi, params, cfg, RngStream(0), "eval").y for xi in np.split(x, n)]
         assert np.array_equal(out.y, np.concatenate(rows))
 
+    @pytest.mark.parametrize(
+        "strategy, n, m",
+        [("data", 2, 1), ("model", 1, 2), ("data+model", 2, 2),
+         ("expert+data", 4, 1), ("expert+model+data", 4, 2)],
+    )
+    def test_mesh_routes_once_and_runs_one_kernel_per_column(
+        self, monkeypatch, strategy, n, m
+    ):
+        x, params = make_case(num_tokens=128)
+        calls = {"route": [], "kernel": 0}
+
+        def counting_route(tokens, *args, **kwargs):
+            calls["route"].append(tokens.shape)
+            return route(tokens, *args, **kwargs)
+
+        def counting_kernel(*args):
+            calls["kernel"] += 1
+            return sl._expert_buffers_fwd(*args)
+
+        monkeypatch.setattr(parallel_sim, "route", counting_route)
+        monkeypatch.setattr(parallel_sim, "_expert_buffers_fwd", counting_kernel)
+        mesh = parallel_sim.make_mesh(n, m, strategy, EXPERTS)
+        parallel_sim.run_sharded_switch_layer(x, params, mesh, RouterConfig(EXPERTS), RngStream(0))
+        assert calls == {"route": [(n, 128 // n, D_MODEL)], "kernel": m}
+
     def test_second_choice_skips_the_landed_first_choice(self):
         # NTLB moves some first choices off the top expert; the second
         # choice is then the best expert other than the landed one.
@@ -465,11 +500,13 @@ class TestEquivalences:
         slots = cache.buffers.slots
         capacity = cache.plans[0].capacity
         assert len(slots.offsets) == k + 1 and slots.offsets[-1] == slots.token.size
-        assert ((slots.slot >= 0) & (slots.slot < capacity)).all()
-        pairs = set(zip(slots.expert.tolist(), slots.slot.tolist()))
-        assert len(pairs) == slots.token.size <= EXPERTS * capacity
-        for lo, hi in zip(slots.offsets, slots.offsets[1:]):
-            assert np.unique(slots.token[lo:hi]).size == hi - lo
+        assert np.unique(slots.row).size == slots.token.size <= EXPERTS * capacity
+        for plan, lo, hi in zip(cache.plans, slots.offsets, slots.offsets[1:]):
+            token = slots.token[lo:hi]
+            assert np.unique(token).size == hi - lo
+            slot = plan.position_in_expert[token]
+            assert ((slot >= 0) & (slot < capacity)).all()
+            assert np.array_equal(slots.row[lo:hi], plan.expert_index[token] * capacity + slot)
 
 
 def _dataclasses(obj):
@@ -532,6 +569,31 @@ class TestFillSlots:
         pairs = set(zip(choices[landed].tolist(), position[landed].tolist()))
         assert len(pairs) == int(landed.sum())
         assert not pairs & {(e, c) for e in range(experts) for c in range(counts[e])}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_tokens=st.integers(1, 4096),
+        budgets=st.integers(1, 1 << 15),
+        seed=st.integers(0, 2**31),
+    )
+    def test_int16_key_sorts_like_int64(self, num_tokens, budgets, seed):
+        key = np.random.default_rng(seed).integers(0, budgets, num_tokens)
+        assert np.array_equal(
+            np.argsort(key.astype(np.int16), kind="stable"), np.argsort(key, kind="stable")
+        )
+
+    def test_more_budgets_than_int16_keys(self):
+        gen = np.random.default_rng(3)
+        budgets = (1 << 15) + 5
+        # Keys past the int16 range, mixed with small ones.
+        choices = np.concatenate(
+            [gen.integers(budgets - 8, budgets, 300), gen.integers(0, 4, 300)]
+        )
+        counts = gen.integers(0, 3, budgets)
+        position, after = fill_slots(choices, counts, 3)
+        want_position, want_after = loop_fill_slots(choices, counts, 3)
+        assert position.tolist() == want_position
+        assert after.tolist() == want_after
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -16,9 +16,9 @@ from switchlab.tensor_core import (
     InvalidArgumentError,
     NumericError,
     RngStream,
+    _row_max,
     grad_check,
     keep_freed_heap,
-    one_hot,
     quantize_bf16,
     relu_backward,
     softmax,
@@ -181,6 +181,15 @@ class TestSoftmax:
         with pytest.raises(NumericError):
             softmax(np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(1024, 8), (32, 2, 32, 32), (31, 31), (128, 256)])
+    def test_row_max_is_np_max_bitwise(self, shape):
+        # Router logits, attention scores, a corpus table and the loss.
+        x = (RngStream(5).normal(shape) * 4).astype(np.float32)
+        row_max = np.max(x, axis=-1, keepdims=True)
+        assert np.array_equal(_row_max(x), row_max)
+        e = np.exp(x - row_max)
+        assert np.array_equal(softmax(x), e / np.sum(e, axis=-1, keepdims=True))
+
     def test_backward_matches_fd(self):
         x = RngStream(4).normal((6,))
 
@@ -267,12 +276,6 @@ class TestPrimitives:
         x = np.array([-1.0, 2.0])
         g = np.array([5.0, 7.0])
         assert np.array_equal(relu_backward(g, x), [0.0, 7.0])
-
-    def test_one_hot(self):
-        out = one_hot(np.array([2, 0]), 3)
-        assert np.array_equal(out, [[0, 0, 1], [1, 0, 0]])
-        with pytest.raises(InvalidArgumentError):
-            one_hot(np.array([3]), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from switchlab import cli, switch_layer, trainer
 from switchlab.router import RouterConfig
 from switchlab.tensor_core import RngStream, grad_check, softmax
 from switchlab.trainer import (
+    AdamState,
     Batch,
+    adam_update,
     TrainConfig,
     batch_for_step,
     build_model,
@@ -291,3 +293,39 @@ def test_distill_train_repeats_exactly():
     second_params = named_parameters(second)
     for name, arr in named_parameters(first).items():
         assert arr.tobytes() == second_params[name].tobytes(), name
+
+
+def _reference_adam(params, grads, state, lr):
+    """The out-of-place update that ``adam_update`` runs in place."""
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = grads[name].astype(np.float32)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p, dtype=np.float32)
+            state.v[name] = np.zeros_like(p, dtype=np.float32)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1 - state.beta1) * g
+        v *= state.beta2
+        v += (1 - state.beta2) * g * g
+        m_hat = m / (1 - state.beta1**t)
+        v_hat = v / (1 - state.beta2**t)
+        p -= (lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+
+
+def test_adam_update_in_place_matches_reference():
+    config = TrainConfig(ffn_kind="switch")
+    model = build_model(config, RouterConfig(4), RngStream(1))
+    got, want = named_parameters(model), named_parameters(build_model(
+        config, RouterConfig(4), RngStream(1)
+    ))
+    got_state, want_state = AdamState(), AdamState()
+    rng = RngStream(2)
+    for step in range(5):
+        grads = {k: rng.normal(p.shape) * 10.0 ** -step for k, p in got.items()}
+        adam_update(got, grads, got_state, 1e-2)
+        _reference_adam(want, grads, want_state, 1e-2)
+    for name in want:
+        for a, b in ((got, want), (got_state.m, want_state.m), (got_state.v, want_state.v)):
+            assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
