@@ -255,19 +255,19 @@ def save_checkpoint(
     offset = 0
     payloads = []
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
-        raw = arr.astype("<f4").tobytes()
+        # Little-endian float32, C order: the file takes the buffer as it is.
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
         records.append(
             {
                 "name": name,
                 "shape": list(arr.shape),
                 "dtype": "<f4",
                 "offset": offset,
-                "nbytes": len(raw),
+                "nbytes": arr.nbytes,
             }
         )
-        payloads.append(raw)
-        offset += len(raw)
+        payloads.append(arr)
+        offset += arr.nbytes
     header = {
         "format_version": CHECKPOINT_VERSION,
         "step": opt_state.step,
@@ -282,8 +282,8 @@ def save_checkpoint(
             fh.write(bytes([CHECKPOINT_VERSION]))
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
-            for raw in payloads:
-                fh.write(raw)
+            for arr in payloads:
+                fh.write(arr.data)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -421,18 +421,21 @@ def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
     if not out.dropped.any():
         return out
 
-    # Stable descending sort: preference rank r of token t is order[t, r].
-    order = np.argsort(-out.router_probs, axis=1, kind="stable")
+    # Only tokens dropped now can ever wait, so only their rows are sorted.
+    # Stable descending sort: preference rank r of token first[j] is order[j, r].
+    first = np.flatnonzero(out.dropped)
+    order = np.argsort(-out.router_probs[first], axis=1, kind="stable")
     kept = np.flatnonzero(~out.dropped)
     counts = np.bincount(
         out.slot_key(kept, out.expert_index[kept]), minlength=out.num_groups * n
     )
 
     for k in range(1, stages + 1):
-        waiting = np.flatnonzero(out.dropped)
-        if waiting.size == 0:
+        still = np.flatnonzero(out.dropped[first])
+        if still.size == 0:
             break
-        candidate = order[waiting, k]
+        waiting = first[still]
+        candidate = order[still, k]
         position, counts = fill_slots(out.slot_key(waiting, candidate), counts, out.capacity)
         landed = position >= 0
         t, e = waiting[landed], candidate[landed]

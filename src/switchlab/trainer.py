@@ -9,6 +9,11 @@ corpus draws each sequence from one of K cluster-specific bigram processes
 over disjoint token ranges, so there is genuine structure for experts to
 specialize on.
 
+Backward caches: ``model_fwd`` keeps every block's cache only for a pass
+that ``model_bwd`` will differentiate (``train_step`` and the distilled
+student). Forward-only passes, ``evaluate`` and the distillation teacher,
+keep none, so their peak memory does not grow with depth.
+
 Determinism contract: every random draw during a run derives from
 (seed, purpose label, step), never from call order, so two runs with one
 config produce bit-identical metric streams and a resumed run continues the
@@ -443,15 +448,19 @@ class ModelCache:
 
 @dataclass
 class ForwardResult:
+    """One ``model_fwd`` pass. ``cache`` is what ``model_bwd`` needs, or None
+    for a forward-only pass (``keep_cache=False``)."""
+
     logits: np.ndarray  # [n_targets, V], row i scores the batch's i-th target
     aux_loss: float
     dropped_fraction: float
     expert_fractions: np.ndarray | None
-    cache: ModelCache
+    cache: ModelCache | None
 
 
 def model_fwd(
-    model: ToyModel, batch: Batch, rng: RngStream, training: bool = True
+    model: ToyModel, batch: Batch, rng: RngStream, training: bool = True,
+    keep_cache: bool = True,
 ) -> ForwardResult:
     """Run every block over ``batch.input_ids`` and score the targets only.
 
@@ -459,6 +468,13 @@ def model_fwd(
     runs on the final hidden rows at (target_rows, target_cols), in target
     order. With two or more targets each logits row equals, bit for bit,
     that position's row of the full [S*L, V] projection.
+
+    ``keep_cache`` keeps each block's backward cache for ``model_bwd``;
+    ``train_step`` needs it, and so does any eval-mode forward that is
+    differentiated. Forward-only callers (``evaluate`` and the teacher in
+    ``distill_train``) pass False: each layer's cache is freed as soon as the
+    layer returns, peak memory stays flat in depth, and ``cache`` is None.
+    The outputs are bit-identical either way.
     """
     config = model.config
     mode = "train" if training else "eval"
@@ -483,7 +499,9 @@ def model_fwd(
             dropped.append(attn_out.dropped_fraction)
             fractions.append(attn_out.stats.f)
         h = h + attn_out.y
-        attn_caches.append(a_cache)
+        if keep_cache:
+            attn_caches.append(a_cache)
+        del a_cache  # unless kept, freed here rather than a layer later
 
         flat = h.reshape(s * l, d)
         if blk.ffn_kind == "dense":
@@ -506,7 +524,9 @@ def model_fwd(
             dropped.append(out.dropped_fraction)
             fractions.append(out.stats.f)
         h = h + y.reshape(s, l, d)
-        ffn_caches.append(f_cache)
+        if keep_cache:
+            ffn_caches.append(f_cache)
+        del f_cache
 
     targets = batch.target_rows * l + batch.target_cols
     target_hidden = h.reshape(s * l, d)[targets]
@@ -518,7 +538,9 @@ def model_fwd(
     else:
         logits = target_hidden @ np.ascontiguousarray(model.embedding.T)
 
-    cache = ModelCache(input_ids, attn_caches, ffn_caches, targets, target_hidden)
+    cache = None
+    if keep_cache:
+        cache = ModelCache(input_ids, attn_caches, ffn_caches, targets, target_hidden)
     return ForwardResult(
         logits,
         aux_total,
@@ -603,14 +625,10 @@ def masked_cross_entropy(
     logits' shape.
     """
     ids = batch.target_ids
-    rows = np.arange(ids.size)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    ce = float(-(shifted[rows, ids] - logz).mean())
     d_logits = softmax(logits, axis=-1)
-    d_logits[rows, ids] -= 1.0
+    d_logits[np.arange(ids.size), ids] -= 1.0
     d_logits /= ids.size
-    return ce, d_logits
+    return -neg_log_perplexity(logits, ids), d_logits
 
 
 def neg_log_perplexity(logits: np.ndarray, target_ids: np.ndarray) -> float:
@@ -737,6 +755,8 @@ def evaluate(
     Rebuilds the seeded training corpus's cluster processes and samples fresh
     sequences from them, so the score measures generalization on the same
     task, not memorization of the training set. No noise, no updates.
+    The forward keeps no backward cache and the cross-entropy forms no
+    logits gradient: nothing here is differentiated.
     """
     root = RngStream(config.seed)
     if corpus is None:
@@ -746,8 +766,8 @@ def evaluate(
         )
     heldout = sample_sequences(corpus, num_sequences, root.substream("eval_sequences"))
     batch = _masked_batch(heldout.sequences, config, root.substream("eval_mask"))
-    fwd = model_fwd(model, batch, root.substream("eval_model"), training=False)
-    ce, _ = masked_cross_entropy(fwd.logits, batch)
+    fwd = model_fwd(model, batch, root.substream("eval_model"), training=False, keep_cache=False)
+    ce = -neg_log_perplexity(fwd.logits, batch.target_ids)
     return MetricRow(-1, ce + fwd.aux_loss, ce, fwd.aux_loss, -ce, fwd.dropped_fraction, fwd.expert_fractions)
 
 
@@ -839,7 +859,8 @@ def distill_train(
     """Train a dense student against teacher logits mixed with hard targets.
 
     Teacher logits are computed in eval mode (no exploration noise, no
-    dropout) and treated as constants. The student is all-dense; with
+    dropout) and treated as constants, so the teacher forward keeps no
+    backward cache; only the student's does. The student is all-dense; with
     ``init_from_teacher`` its non-expert weights start from the teacher.
     """
     student_config = replace(config, ffn_kind="dense", attention_kind="dense", mode="distill")
@@ -860,7 +881,7 @@ def distill_train(
         rng = _step_rng(student_config, step)
         teacher_fwd = model_fwd(
             teacher, batch, RngStream(config.seed).substream(f"step{step}/teacher"),
-            training=False,
+            training=False, keep_cache=False,
         )
         fwd = model_fwd(student, batch, rng, training=True)
         loss, d_logits = _distill_loss_and_grad(

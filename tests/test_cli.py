@@ -258,6 +258,52 @@ def test_restore_model_returns_saved_state_bitwise(tmp_path, overrides, monkeypa
     _assert_same_state(model, opt, restored, restored_opt)
 
 
+def _reference_checkpoint_blob(model, opt, config) -> bytes:
+    """The bytes ``save_checkpoint`` wrote when it copied each tensor through
+    ``astype("<f4").tobytes()`` before writing it."""
+    tensors = cli._collect_tensors(model, opt)
+    records, payloads, offset = [], [], 0
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
+        raw = arr.astype("<f4").tobytes()
+        records.append({
+            "name": name, "shape": list(arr.shape), "dtype": "<f4",
+            "offset": offset, "nbytes": len(raw),
+        })
+        payloads.append(raw)
+        offset += len(raw)
+    header = {
+        "format_version": cli.CHECKPOINT_VERSION,
+        "step": opt.step,
+        "config": cli.serialize_config(config),
+        "tensors": records,
+    }
+    return _header_blob(json.dumps(header, sort_keys=True).encode()) + b"".join(payloads)
+
+
+@pytest.mark.parametrize(
+    "overrides, layout",
+    [
+        ({}, "native"),
+        ({"ffn_kind": "switch"}, "native"),
+        ({"ffn_kind": "moe2", "attention_kind": "switch", "num_heads": 2}, "native"),
+        ({"ffn_kind": "switch"}, "strided_float64"),
+    ],
+    ids=["dense", "switch", "moe2_switch_attention", "switch_strided_float64"],
+)
+def test_save_checkpoint_writes_reference_bytes(tmp_path, overrides, layout):
+    model, opt, config = _trained_state(overrides)
+    if layout == "strided_float64":
+        # Tensors that the writer must convert before their bytes are written.
+        model.embedding = np.asfortranarray(model.embedding)
+        model.blocks[0].attn_weights.w_k = model.blocks[0].attn_weights.w_k.T.copy().T
+        name = next(iter(opt.m))
+        opt.m[name] = opt.m[name].astype(np.float64)
+    path = tmp_path / "model.ckpt"
+    cli.save_checkpoint(model, opt, config, str(path))
+    assert path.read_bytes() == _reference_checkpoint_blob(model, opt, config)
+
+
 def _assert_same_state(model, opt, restored, restored_opt):
     assert restored_opt.step == opt.step == 2
     for saved, loaded in [

@@ -99,13 +99,17 @@ def test_train_step_and_evaluate_stay_float32(
     )
     model = build_model(config, router_config, RngStream(config.seed).substream("init"))
     opt_state = AdamState()
-    train_step(model, batch_for_step(corpus, 0, config), opt_state, config)
+    batch = batch_for_step(corpus, 0, config)
+    train_step(model, batch, opt_state, config)
     evaluate(model, config, corpus, num_sequences=8)
 
     (train_fwd, eval_fwd), (grads,) = recorded["model_fwd"], recorded["model_bwd"]
     assert set(grads) == set(trainer.named_parameters(model))
-    bad = []
-    for tag, fwd in (("train", train_fwd), ("eval", eval_fwd)):
+    assert eval_fwd.cache is None  # evaluate keeps no backward cache
+    # An eval-mode forward that keeps its cache, as a differentiated one does.
+    cached_eval_fwd = trainer.model_fwd(model, batch, RngStream(config.seed), training=False)
+    bad = _non_float32(eval_fwd.logits, "eval.logits")
+    for tag, fwd in (("train", train_fwd), ("eval", cached_eval_fwd)):
         bad += _non_float32(fwd.cache, f"{tag}.cache")
         bad += _non_float32(fwd.logits, f"{tag}.logits")
     bad += _non_float32(grads, "grads")

@@ -19,6 +19,7 @@ from switchlab.router import (
     apply_policy,
     build_dispatch_combine,
     expert_capacity,
+    fill_slots,
     ntlb_reroute,
     route,
 )
@@ -421,6 +422,50 @@ class TestNtlb:
         )
         assert np.array_equal(stats_plain.f, stats_ntlb.f)
         assert stats_plain.aux_loss == stats_ntlb.aux_loss
+
+
+def full_sort_ntlb(plan, stages):
+    """``ntlb_reroute`` as it was before it sorted only the dropped rows: every
+    token's preference order comes from one stable sort of all [T, E] probs."""
+    out = plan.copy()
+    order = np.argsort(-out.router_probs, axis=1, kind="stable")
+    kept = np.flatnonzero(~out.dropped)
+    counts = np.bincount(
+        out.slot_key(kept, out.expert_index[kept]), minlength=out.num_groups * out.num_experts
+    )
+    for k in range(1, stages + 1):
+        waiting = np.flatnonzero(out.dropped)
+        if waiting.size == 0:
+            break
+        candidate = order[waiting, k]
+        position, counts = fill_slots(out.slot_key(waiting, candidate), counts, out.capacity)
+        landed = position >= 0
+        t, e = waiting[landed], candidate[landed]
+        out.expert_index[t] = e
+        out.position_in_expert[t] = position[landed]
+        out.gate[t] = out.router_probs[t, e]
+        out.dropped[t] = False
+    return out
+
+
+@pytest.mark.parametrize("groups", [None, 4], ids=["flat", "grouped"])
+@pytest.mark.parametrize("stages", [1, 2, 3])
+def test_ntlb_reroute_equals_full_sort_oracle(stages, groups):
+    gen = np.random.default_rng(stages)
+    x = gen.standard_normal((4 * 24, 8)).astype(np.float32)
+    x[:, 0] = np.abs(x[:, 0]) + 1.0
+    x[::5] = 0.0  # uniform probabilities: every rank is a tie
+    if groups is not None:
+        x = x.reshape(groups, -1, 8)
+    w = gen.standard_normal((8, 4)).astype(np.float32)
+    w[0] = [3.0, 2.0, 1.0, 0.0]  # most tokens rank the experts alike, so many overflow
+    plan, _ = route(x, w, RouterConfig(4, capacity_factor=0.5), RngStream(0), "eval")
+    assert plan.dropped.sum() > plan.num_tokens // 3
+    got, want = ntlb_reroute(plan, stages), full_sort_ntlb(plan, stages)
+    assert got.dropped.sum() < plan.dropped.sum()
+    for name in ("expert_index", "gate", "position_in_expert", "dropped"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ input ids that repeat, so several positions scatter into one embedding row.
 
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,62 @@ def test_evaluate_repeats_exactly():
     assert np.isfinite(first.cross_entropy)
     assert first.cross_entropy == second.cross_entropy
     assert first.neg_log_perplexity == second.neg_log_perplexity
+
+
+@pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("attention_kind", trainer.ATTENTION_KINDS)
+@pytest.mark.parametrize("ffn_kind", trainer.FFN_KINDS)
+def test_cache_free_forward_equals_cached_forward(ffn_kind, attention_kind, training):
+    config = TrainConfig(
+        vocab=32, seq_len=8, batch_tokens=64, d_model=16, d_ff=24, num_layers=3,
+        num_heads=2, expert_every=1, corpus_size=16, seed=2, ffn_kind=ffn_kind,
+        attention_kind=attention_kind, dropout_rate=0.1, expert_dropout_rate=0.1,
+    )
+    router_config = RouterConfig(
+        num_experts=4, capacity_factor=0.75, policy="input_jitter", ntlb_stages=1
+    )
+    corpus = gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
+        RngStream(config.seed).substream("corpus"),
+    )
+    model = build_model(config, router_config, RngStream(config.seed).substream("init"))
+    batch = batch_for_step(corpus, 0, config)
+    cached = model_fwd(model, batch, RngStream(4), training=training)
+    bare = model_fwd(model, batch, RngStream(4), training=training, keep_cache=False)
+
+    assert cached.cache is not None and bare.cache is None
+    assert bare.logits.dtype == cached.logits.dtype
+    assert bare.logits.tobytes() == cached.logits.tobytes()
+    assert bare.aux_loss == cached.aux_loss
+    assert bare.dropped_fraction == cached.dropped_fraction
+    if ffn_kind == "dense" and attention_kind == "dense":
+        assert bare.expert_fractions is None and cached.expert_fractions is None
+    else:
+        assert bare.expert_fractions.tobytes() == cached.expert_fractions.tobytes()
+
+
+def _evaluate_peak_bytes(num_layers):
+    config = TrainConfig(
+        seq_len=16, d_model=32, d_ff=64, num_layers=num_layers, ffn_kind="switch",
+        expert_every=1, corpus_size=64, seed=8,
+    )
+    corpus = gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
+        RngStream(config.seed).substream("corpus"),
+    )
+    model = build_model(config, RouterConfig(num_experts=4), RngStream(8).substream("init"))
+    tracemalloc.start()
+    try:
+        trainer.evaluate(model, config, corpus, num_sequences=64)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_peak_memory_stays_flat_in_depth():
+    # A forward that kept every block's cache would hold twice as many at 4 layers.
+    shallow, deep = _evaluate_peak_bytes(2), _evaluate_peak_bytes(4)
+    assert deep <= 1.2 * shallow, f"evaluate peak {shallow} B at 2 layers, {deep} B at 4"
 
 
 def test_student_init_copies_every_non_expert_tensor():
