@@ -179,22 +179,16 @@ def expert_capacity(tokens_per_batch: int, num_experts: int, capacity_factor: fl
 
 
 def apply_policy(
-    token_inputs: np.ndarray, config: RouterConfig, rng: RngStream, mode: str = "train"
-) -> np.ndarray:
+    x: np.ndarray, config: RouterConfig, rng: RngStream, mode: str = "train"
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Perturb the router's view of the tokens according to the policy.
 
-    Returns the inputs untouched for argmax and sample_softmax (sampling
-    happens at selection time), and for every policy at evaluation. The
-    perturbed copy feeds the router only; expert computation always sees the
-    original tokens.
+    Returns the router's inputs and the elementwise scale applied to them,
+    None where the inputs come back untouched: for argmax and sample_softmax
+    (sampling happens at selection time), and for every policy at evaluation.
+    The perturbed copy feeds the router only; expert computation always sees
+    the original tokens.
     """
-    out, _ = _apply_policy_with_scale(token_inputs, config, rng, mode)
-    return out
-
-
-def _apply_policy_with_scale(
-    x: np.ndarray, config: RouterConfig, rng: RngStream, mode: str
-) -> tuple[np.ndarray, np.ndarray | None]:
     if mode == "eval" or config.policy in ("argmax", "sample_softmax"):
         return x, None
     if config.policy == "input_jitter":
@@ -219,7 +213,6 @@ def route(
     config: RouterConfig,
     rng: RngStream,
     mode: str = "train",
-    frozen_assignment: DispatchPlan | None = None,
 ) -> tuple[DispatchPlan, LoadBalanceStats]:
     """Score, select, and capacity-budget a batch of tokens.
 
@@ -236,13 +229,6 @@ def route(
     call on that group alone runs, so at argmax routing the plan and the
     statistics equal those of G separate calls bit for bit; the plan's arrays
     are flat over the G·S tokens.
-
-    ``frozen_assignment`` re-uses a previous plan's expert choice, drop flags
-    and slot positions while recomputing probabilities and gates from the
-    current inputs and weights. The training backward pass and the gradient
-    checker rely on this: selection is piecewise constant, so its gradient
-    path is the gate values alone. It takes ``[T, d]`` inputs only, since no
-    backward pass runs on groups.
     """
     x = np.asarray(token_inputs)
     w = np.asarray(w_router)
@@ -252,8 +238,6 @@ def route(
         )
     if mode not in ("train", "eval"):
         raise InvalidArgumentError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if x.ndim == 3 and frozen_assignment is not None:
-        raise InvalidArgumentError("route: a frozen assignment takes [tokens, d] inputs")
 
     num_groups = x.shape[0] if x.ndim == 3 else 1
     group_size = x.shape[-2]
@@ -265,7 +249,7 @@ def route(
         )
 
     flat = x.reshape(num_tokens, x.shape[-1])
-    router_in, scale = _apply_policy_with_scale(flat, config, rng, mode)
+    router_in, scale = apply_policy(flat, config, rng, mode)
     if config.selective_precision:
         # Emulate bfloat16 transport into the router; the math that follows
         # stays at full float32 precision.
@@ -291,24 +275,14 @@ def route(
 
     probs = softmax(logits, axis=-1)
 
-    if frozen_assignment is not None:
-        expert_index = frozen_assignment.expert_index
-    elif mode == "train" and config.policy == "sample_softmax":
+    if mode == "train" and config.policy == "sample_softmax":
         expert_index = rng.categorical(probs)
     else:
         expert_index = np.argmax(probs, axis=1)  # ties go to the lowest index
     tokens = np.arange(num_tokens)
     key = _slot_key(tokens, expert_index, group_size, num_experts)
-    if frozen_assignment is not None:
-        dropped = frozen_assignment.dropped.copy()
-        position = frozen_assignment.position_in_expert.copy()
-        capacity = frozen_assignment.capacity
-    else:
-        capacity = expert_capacity(group_size, num_experts, config.capacity_factor)
-        position, _ = fill_slots(
-            key, np.zeros(num_groups * num_experts, dtype=np.int64), capacity
-        )
-        dropped = position < 0
+    capacity = expert_capacity(group_size, num_experts, config.capacity_factor)
+    position, _ = fill_slots(key, np.zeros(num_groups * num_experts, dtype=np.int64), capacity)
 
     gate = probs[tokens, expert_index]
     stats = _balance_stats(probs, key, num_groups, config.alpha)
@@ -317,7 +291,7 @@ def route(
         expert_index=np.asarray(expert_index, dtype=np.int64),
         gate=gate,
         position_in_expert=position,
-        dropped=dropped,
+        dropped=position < 0,
         capacity=capacity,
         router_probs=probs,
         router_inputs=router_in,
@@ -325,7 +299,7 @@ def route(
         num_groups=num_groups,
     )
 
-    if config.ntlb_stages > 0 and frozen_assignment is None:
+    if config.ntlb_stages > 0:
         plan = ntlb_reroute(plan, config.ntlb_stages)
 
     return plan, stats

@@ -412,15 +412,11 @@ def _routed_ffn_fwd(
     rng: RngStream,
     mode: str,
     renormalize: bool,
-    frozen_plans: list[DispatchPlan] | None,
 ) -> tuple[LayerOutput, MoeCache]:
     """Route every token to its k best experts and gate-scale their outputs.
 
     The k ranks share each expert's capacity budget, rank-major, so one
     [E, C, d] buffer holds all of them and the experts run once per layer.
-    ``frozen_plans`` (a previous cache's ``plans``) re-uses every rank's
-    expert choice, drop flags and slot positions while gates are recomputed
-    from the current inputs and weights.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -430,24 +426,17 @@ def _routed_ffn_fwd(
         raise InvalidArgumentError(f"moe_topk_ffn: k={k} exceeds num_experts={n}")
     if k < 1:
         raise InvalidArgumentError(f"moe_topk_ffn: k must be >= 1, got {k}")
-    if frozen_plans is not None and len(frozen_plans) != k:
-        raise InvalidArgumentError(
-            f"moe_topk_ffn: {len(frozen_plans)} frozen plans for k={k}"
-        )
 
     # Rank 0 is the switch routing decision: top-1 with the exploration
     # policy, capacity budgeting and NTLB rescue all inside ``route``.
-    plan0, stats = route(
-        x, params.w_router, router_config, rng.substream("route"), mode,
-        frozen_assignment=None if frozen_plans is None else frozen_plans[0],
-    )
+    plan0, stats = route(x, params.w_router, router_config, rng.substream("route"), mode)
     num_tokens = x.shape[0]
     capacity = plan0.capacity
     probs = plan0.router_probs
     rows = np.arange(num_tokens)
 
     plans = [plan0]
-    if k > 1 and frozen_plans is None:
+    if k > 1:
         # Remaining ranks take the next-best experts in stable probability
         # order, skipping the rank-0 choice (which NTLB or sampling may have
         # moved off the top-probability expert).
@@ -457,12 +446,8 @@ def _routed_ffn_fwd(
         # inside route), then second choices into leftover slots, and so on.
         counts = np.bincount(plan0.expert_index[~plan0.dropped], minlength=n)
     for r in range(1, k):
-        if frozen_plans is None:
-            choice = rest[:, r - 1].copy()
-            position, counts = fill_slots(choice, counts, capacity)
-        else:
-            choice = frozen_plans[r].expert_index
-            position = frozen_plans[r].position_in_expert
+        choice = rest[:, r - 1].copy()
+        position, counts = fill_slots(choice, counts, capacity)
         plans.append(replace(
             plan0, expert_index=choice, gate=probs[rows, choice],
             position_in_expert=position, dropped=position < 0,
@@ -493,15 +478,9 @@ def _routed_ffn_fwd(
     return out, cache
 
 
-def _routed_ffn_bwd(
-    grad_y: np.ndarray, cache: MoeCache, aux_weight: float
-) -> dict[str, np.ndarray]:
-    """Returns grads for x, w_router, w_in, w_out.
-
-    ``aux_weight`` scales the balance-loss contribution (the trainer adds the
-    aux term to the total loss with weight 1). The expert assignments, drop
-    flags and f-vector are constants of the backward pass.
-    """
+def _routed_ffn_bwd(grad_y: np.ndarray, cache: MoeCache) -> dict[str, np.ndarray]:
+    """Returns grads for x, w_router, w_in, w_out of the output plus the
+    balance loss; the expert choices, drop flags and f are constants."""
     plans = cache.plans
     num_tokens, n = plans[0].router_probs.shape
     probs = plans[0].router_probs
@@ -529,10 +508,10 @@ def _routed_ffn_bwd(
     d_probs = np.zeros_like(probs)
     d_probs[rows, choices] += d_gates
 
-    if aux_weight != 0.0 and cache.alpha != 0.0:
+    if cache.alpha != 0.0:
         # aux = alpha * N * sum_i f_i * P_i, with f piecewise constant and
         # P_i the token mean of probs[:, i]: each token gets alpha * N * f / T.
-        d_probs += aux_weight * cache.alpha * n * cache.stats.f / num_tokens
+        d_probs += cache.alpha * n * cache.stats.f / num_tokens
 
     d_logits = softmax_backward(d_probs, probs)
     dw_router = plans[0].router_inputs.T @ d_logits
@@ -549,15 +528,9 @@ def switch_ffn_fwd(
     router_config: RouterConfig,
     rng: RngStream,
     mode: str = "train",
-    frozen_plan: DispatchPlan | None = None,
 ) -> tuple[LayerOutput, MoeCache]:
-    """The switch FFN forward pass: the routed FFN at k = 1.
-
-    ``frozen_plan`` (a previous cache's ``plans[0]``) holds the expert
-    choice, drop flags and slot positions fixed.
-    """
-    frozen_plans = None if frozen_plan is None else [frozen_plan]
-    return _routed_ffn_fwd(x, params, 1, router_config, rng, mode, False, frozen_plans)
+    """The switch FFN forward pass: the routed FFN at k = 1."""
+    return _routed_ffn_fwd(x, params, 1, router_config, rng, mode, False)
 
 
 def switch_ffn(
@@ -572,11 +545,9 @@ def switch_ffn(
     return out
 
 
-def switch_ffn_bwd(
-    grad_y: np.ndarray, cache: MoeCache, aux_weight: float = 1.0
-) -> dict[str, np.ndarray]:
+def switch_ffn_bwd(grad_y: np.ndarray, cache: MoeCache) -> dict[str, np.ndarray]:
     """Switch FFN gradients for x, w_router, w_in, w_out; see ``_routed_ffn_bwd``."""
-    return _routed_ffn_bwd(grad_y, cache, aux_weight)
+    return _routed_ffn_bwd(grad_y, cache)
 
 
 def moe_topk_ffn_fwd(
@@ -587,7 +558,6 @@ def moe_topk_ffn_fwd(
     rng: RngStream,
     mode: str = "train",
     renormalize: bool = False,
-    frozen_plans: list[DispatchPlan] | None = None,
 ) -> tuple[LayerOutput, MoeCache]:
     """Top-k mixture, y = sum over surviving assignments of p_i(x) * E_i(x),
     plus its cache; see ``_routed_ffn_fwd``.
@@ -598,14 +568,12 @@ def moe_topk_ffn_fwd(
     ranks before it left free. A token falls back to the residual
     passthrough only when every one of its k assignments overflows.
     """
-    return _routed_ffn_fwd(x, params, k, router_config, rng, mode, renormalize, frozen_plans)
+    return _routed_ffn_fwd(x, params, k, router_config, rng, mode, renormalize)
 
 
-def moe_topk_ffn_bwd(
-    grad_y: np.ndarray, cache: MoeCache, aux_weight: float = 1.0
-) -> dict[str, np.ndarray]:
+def moe_topk_ffn_bwd(grad_y: np.ndarray, cache: MoeCache) -> dict[str, np.ndarray]:
     """Top-k gradients for x, w_router, w_in, w_out; see ``_routed_ffn_bwd``."""
-    return _routed_ffn_bwd(grad_y, cache, aux_weight)
+    return _routed_ffn_bwd(grad_y, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +611,12 @@ def attention_fwd(
     rng: RngStream,
     mode: str = "train",
     q_params: SwitchLayerParams | None = None,
-    frozen_q_plan: DispatchPlan | None = None,
 ) -> tuple[LayerOutput, AttentionCache]:
     """Multi-head attention forward pass plus its cache.
 
-    With ``q_params`` the per-token query projection is picked by a switch
-    router: keys and values come from the shared dense weights, only the
-    query side is expert-routed, and its router's balance loss is attached to
-    the output. The experts are linear maps when ``q_params.w_out`` is None
-    and full FFNs otherwise.
-    ``frozen_q_plan`` (a previous cache's ``q_cache.plans[0]``) holds the routed
-    query projection's expert choice fixed, as ``switch_ffn_fwd``'s
-    ``frozen_plan`` does; it is ignored for dense queries.
+    With ``q_params`` a switch FFN computes the queries, so only they are
+    expert-routed, and its balance loss is attached to the output. Its
+    experts are linear maps when ``q_params.w_out`` is None.
     """
     x = np.asarray(x)
     if x.ndim != 3:
@@ -678,8 +640,7 @@ def attention_fwd(
             raise InvalidArgumentError("switch attention requires config.router")
         flat = x.reshape(b * l, d)
         q_out, q_cache = switch_ffn_fwd(
-            flat, q_params, config.router, rng.substream("q_route"), mode,
-            frozen_plan=frozen_q_plan,
+            flat, q_params, config.router, rng.substream("q_route"), mode
         )
         q = q_out.y.reshape(b, l, d)
         aux = q_out.aux_loss
@@ -702,9 +663,7 @@ def attention_fwd(
     return out, cache
 
 
-def attention_bwd(
-    grad_y: np.ndarray, cache: AttentionCache, aux_weight: float = 1.0
-) -> dict[str, np.ndarray]:
+def attention_bwd(grad_y: np.ndarray, cache: AttentionCache) -> dict[str, np.ndarray]:
     """Grads for x, w_k, w_v, w_o, and either w_q or the query switch params."""
     x, w = cache.x, cache.weights
     b, l, d = x.shape
@@ -746,7 +705,7 @@ def attention_bwd(
         grads["w_q"] = x_flat.T @ dq
         dx = dx + dq @ w.w_q.T
     else:
-        q_grads = switch_ffn_bwd(dq, cache.q_cache, aux_weight)
+        q_grads = switch_ffn_bwd(dq, cache.q_cache)
         grads["q.w_router"] = q_grads["w_router"]
         grads["q.w_in"] = q_grads["w_in"]
         if q_grads["w_out"] is not None:

@@ -550,9 +550,7 @@ def model_fwd(
     )
 
 
-def model_bwd(
-    model: ToyModel, cache: ModelCache, d_logits: np.ndarray, aux_weight: float = 1.0
-) -> dict[str, np.ndarray]:
+def model_bwd(model: ToyModel, cache: ModelCache, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Backprop the [n_targets, V] gradient of ``model_fwd``'s logits.
 
     The head's weight gradient is formed from the target rows alone, and
@@ -583,14 +581,14 @@ def model_bwd(
             grads[f"{p}.ffn.w_out"] = dw_out
         else:
             bwd = switch_ffn_bwd if blk.ffn_kind == "switch" else moe_topk_ffn_bwd
-            g = bwd(flat_dh, cache.ffn_caches[i], aux_weight)
+            g = bwd(flat_dh, cache.ffn_caches[i])
             dx = g["x"]
             grads[f"{p}.ffn.w_router"] = g["w_router"]
             grads[f"{p}.ffn.w_in"] = g["w_in"]
             grads[f"{p}.ffn.w_out"] = g["w_out"]
         dh = dh + dx.reshape(s, l, d)  # residual: gradient flows to both paths
 
-        a_grads = attention_bwd(dh, cache.attn_caches[i], aux_weight)
+        a_grads = attention_bwd(dh, cache.attn_caches[i])
         grads[f"{p}.attn.w_k"] = a_grads["w_k"]
         grads[f"{p}.attn.w_v"] = a_grads["w_v"]
         grads[f"{p}.attn.w_o"] = a_grads["w_o"]
@@ -713,7 +711,7 @@ def train_step(
         raise NumericError(
             f"non-finite loss at step {step}: ce={ce}, aux={fwd.aux_loss}"
         )
-    grads = model_bwd(model, fwd.cache, d_logits, aux_weight=1.0)
+    grads = model_bwd(model, fwd.cache, d_logits)
     adam_update(named_parameters(model), grads, opt_state, config.learning_rate)
     return MetricRow(step, total, ce, fwd.aux_loss, -ce, fwd.dropped_fraction, fwd.expert_fractions)
 
@@ -805,7 +803,8 @@ def _distill_loss_and_grad(
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
     q = softmax(flat_t, axis=-1)
-    target = hard_weight * np.eye(flat_s.shape[1], dtype=flat_s.dtype)[ids] + (1 - hard_weight) * q
+    target = (1 - hard_weight) * q
+    target[np.arange(n), ids] += hard_weight
     loss = float(-(target * logp).sum(axis=1).mean())
     grad = (np.exp(logp) - target) / n
     return loss, grad.reshape(student_logits.shape)
@@ -890,7 +889,7 @@ def distill_train(
         total = loss + fwd.aux_loss
         if not np.isfinite(total):
             raise NumericError(f"non-finite distillation loss at step {step}")
-        grads = model_bwd(student, fwd.cache, d_logits, aux_weight=1.0)
+        grads = model_bwd(student, fwd.cache, d_logits)
         adam_update(named_parameters(student), grads, opt_state, student_config.learning_rate)
         nlp = neg_log_perplexity(fwd.logits, batch.target_ids)
         rows.append(

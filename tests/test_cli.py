@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from switchlab import cli, switch_layer, tensor_core
+from switchlab import cli, router, switch_layer, tensor_core
 from switchlab.router import RouterConfig
 from switchlab.tensor_core import InvalidArgumentError, RngStream
 from switchlab.trainer import AdamState, TrainConfig, build_model, named_parameters, train
@@ -25,37 +25,74 @@ RELU_CASES = {
     "moe_top2_ffn": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
     "moe_top2_ffn_renormalized": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
 }
+# Cases that route: every probe re-routes, so finite differences are only
+# valid where no probe changes an expert choice or a slot.
+ROUTED_CASES = {
+    "router_p_path", "switch_ffn", "moe_top2_ffn", "moe_top2_ffn_renormalized",
+    "switch_attention",
+}
 PROBE_STEP = inspect.signature(tensor_core.grad_check).parameters["h"].default
 
 
-@pytest.mark.parametrize(
-    "name, check", [pytest.param(name, check, id=name) for name, check in cli._gradient_checks()]
-)
-def test_gradient_suite(name, check, monkeypatch):
-    if name in RELU_CASES:
-        module, attr, pre_activations = RELU_CASES[name]
-        forwards = []
+@pytest.mark.parametrize("name", [name for name, _ in cli._gradient_checks()])
+def test_gradient_suite(name, monkeypatch):
+    evaluations = []  # per evaluation of the case's loss: what its forwards built
+
+    def record(module, attr, keep):
         fwd = getattr(module, attr)
 
         def recording_fwd(*args):
-            y, cache = fwd(*args)
-            forwards.append(cache)
-            return y, cache
-
-        def kink_free_grad_check(f, params, h=PROBE_STEP, **kwargs):
-            # Evaluate the case once at the probed point, before any probe.
-            f([np.asarray(p, dtype=np.float64) for p in params])
-            assert forwards, name
-            for cache in forwards:
-                assert np.abs(pre_activations(cache)).min() >= 10 * h, (
-                    f"{name}: a relu pre-activation is within 10 h of the kink"
-                )
-            return tensor_core.grad_check(f, params, h=h, **kwargs)
+            out = fwd(*args)
+            evaluations[-1].append(keep(args, out))
+            return out
 
         monkeypatch.setattr(module, attr, recording_fwd)
-        monkeypatch.setattr(cli, "grad_check", kink_free_grad_check)
-    report = check()
+
+    if name in RELU_CASES:
+        module, attr, pre_activations = RELU_CASES[name]
+        record(module, attr, lambda args, out: ("relu", pre_activations(out[1])))
+    if name in ROUTED_CASES:
+        # The suite imports route when it is built; the layers hold their own.
+        for module in (router, switch_layer):
+            record(module, "route", lambda args, out: (
+                "plan", out[0].expert_index.tobytes(), out[0].position_in_expert.tobytes()
+            ))
+        # The slot map covers every top-k rank, not only the routed rank 0.
+        record(switch_layer, "_expert_buffers_fwd", lambda args, out: (
+            "slots", args[1].token.tobytes(), args[1].row.tobytes()
+        ))
+
+    def guarded_grad_check(f, params, h=PROBE_STEP, **kwargs):
+        def recorded_f(p):
+            evaluations.append([])
+            return f(p)
+
+        report = tensor_core.grad_check(recorded_f, params, h=h, **kwargs)
+        unprobed, *probes = evaluations  # grad_check evaluates the unprobed point first
+        kinds = {r[0] for r in unprobed}
+        assert ("relu" in kinds, "plan" in kinds) == (name in RELU_CASES, name in ROUTED_CASES)
+        routing = lambda records: [r for r in records if r[0] != "relu"]
+        for probe in probes:
+            assert routing(probe) == routing(unprobed), (
+                f"{name}: a probe changed an expert choice or a slot"
+            )
+        for r in unprobed:
+            if r[0] == "relu":
+                assert np.abs(r[1]).min() >= 10 * h, (
+                    f"{name}: a relu pre-activation is within 10 h of the kink"
+                )
+        return report
+
+    monkeypatch.setattr(cli, "grad_check", guarded_grad_check)
+    report = dict(cli._gradient_checks())[name]()
     assert report.passed, report.details
+
+
+def test_grad_check_command_passes_every_case(capsys):
+    assert cli.main(["grad-check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS]") for line in lines) == len(cli._gradient_checks()) == 8
+    assert not any("[FAIL]" in line for line in lines)
 
 
 @pytest.mark.parametrize(

@@ -136,17 +136,20 @@ class TestApplyPolicy:
     def test_argmax_is_identity(self):
         x = RngStream(0).normal((4, 3))
         cfg = RouterConfig(num_experts=2, policy="argmax")
-        assert np.array_equal(apply_policy(x, cfg, RngStream(1), "train"), x)
+        out, scale = apply_policy(x, cfg, RngStream(1), "train")
+        assert out is x and scale is None
 
     def test_zero_eps_jitter_is_identity(self):
         x = RngStream(0).normal((4, 3))
         cfg = RouterConfig(num_experts=2, policy="input_jitter", jitter_eps=0.0)
-        assert np.array_equal(apply_policy(x, cfg, RngStream(1), "train"), x)
+        out, scale = apply_policy(x, cfg, RngStream(1), "train")
+        assert out is x and scale is None
 
     def test_jitter_bounds(self):
         x = np.ones((100, 8), dtype=np.float32)
         cfg = RouterConfig(num_experts=2, policy="input_jitter", jitter_eps=0.01)
-        out = apply_policy(x, cfg, RngStream(2), "train")
+        out, scale = apply_policy(x, cfg, RngStream(2), "train")
+        assert np.array_equal(out, x * scale)
         assert (out >= 0.99).all() and (out <= 1.01).all()
         assert not np.array_equal(out, x)
 
@@ -154,12 +157,14 @@ class TestApplyPolicy:
         x = RngStream(3).normal((5, 4))
         for policy in ("argmax", "sample_softmax", "input_dropout", "input_jitter"):
             cfg = RouterConfig(num_experts=2, policy=policy)
-            assert np.array_equal(apply_policy(x, cfg, RngStream(4), "eval"), x)
+            out, scale = apply_policy(x, cfg, RngStream(4), "eval")
+            assert out is x and scale is None
 
     def test_input_dropout_scaling(self):
         x = np.ones((2000, 10), dtype=np.float32)
         cfg = RouterConfig(num_experts=2, policy="input_dropout", dropout_rate=0.25)
-        out = apply_policy(x, cfg, RngStream(5), "train")
+        out, scale = apply_policy(x, cfg, RngStream(5), "train")
+        assert np.array_equal(out, x * scale)
         kept = out != 0
         assert abs(kept.mean() - 0.75) < 0.01
         assert np.allclose(out[kept], 1 / 0.75)
@@ -316,21 +321,19 @@ class TestLoadBalanceLoss:
             f = f / f.sum()
             assert 0.01 * n * float(f @ f) >= uniform - 1e-12
 
-    def test_gradient_matches_fd_with_frozen_f(self):
+    def test_gradient_matches_fd_with_constant_f(self):
         # The switch layer's inline balance gradient, alone: with a zero
-        # upstream gradient and the assignment (hence f) frozen, only the
-        # P path of the aux loss reaches x and the router weights.
+        # upstream gradient and no probe moving an expert choice (so f stays
+        # constant), only the P path of the aux loss reaches x and the router
+        # weights.
         rng = RngStream(14)
         cfg = RouterConfig(num_experts=4, alpha=0.01)
         x = rng.substream("x").normal((6, 5))
         params = init_switch_layer_params(5, 3, 4, rng.substream("params"), scale=1.0)
-        _, cache0 = switch_ffn_fwd(x, params, cfg, RngStream(0), "eval")
 
         def f(p):
             sp = SwitchLayerParams(p[1], params.w_in, params.w_out)
-            out, cache = switch_ffn_fwd(
-                p[0], sp, cfg, RngStream(0), "eval", frozen_plan=cache0.plans[0]
-            )
+            out, cache = switch_ffn_fwd(p[0], sp, cfg, RngStream(0), "eval")
             g = switch_ffn_bwd(np.zeros_like(out.y), cache)
             return out.aux_loss, [g["x"], g["w_router"]]
 
@@ -503,13 +506,6 @@ class TestGroupedRoute:
         assert np.array_equal(stats.f, np.mean([s.f for _, s in rows], axis=0))
         assert np.array_equal(stats.P, np.mean([s.P for _, s in rows], axis=0))
         assert stats.aux_loss == float(np.mean([s.aux_loss for _, s in rows]))
-
-    def test_frozen_assignment_rejects_groups(self):
-        x = np.ones((2, 3, 4), dtype=np.float32)
-        w = np.eye(4, 2, dtype=np.float32)
-        plan, _ = route(x.reshape(6, 4), w, ARGMAX, RngStream(0), "train")
-        with pytest.raises(InvalidArgumentError, match="frozen"):
-            route(x, w, ARGMAX, RngStream(0), "train", frozen_assignment=plan)
 
 
 # ---------------------------------------------------------------------------

@@ -341,20 +341,6 @@ class TestIndexKernelMatchesOneHot:
         assert slots.offsets[2] == slots.offsets[1] == slots.token.size == 32
         assert_shared_buffer_matches(*shared_and_per_rank(x, params, 2, cfg, 0, "eval"))
 
-    def test_every_token_dropped(self, monkeypatch):
-        x, params = make_case()
-        cfg = RouterConfig(EXPERTS)
-        plan, _ = route(x, params.w_router, cfg, RngStream(0), "eval")
-        plan.dropped[:] = True
-        plan.position_in_expert[:] = -1
-
-        def run():
-            out, cache = switch_ffn_fwd(x, params, cfg, RngStream(0), "eval", frozen_plan=plan)
-            assert np.array_equal(out.y, x)
-            return {"y": out.y, **switch_ffn_bwd(grad_of(out.y), cache)}
-
-        assert_bitwise(*index_and_onehot(monkeypatch, run))
-
     @pytest.mark.parametrize("k", [1, 2])
     def test_capacity_one(self, k):
         x, params = make_case(dropout=0.3)
@@ -395,6 +381,7 @@ class TestEquivalences:
     def test_single_expert_switch_is_dense_ffn(self, mode, dropout):
         # One expert: every gate is exactly 1, every token keeps its slot,
         # and the expert runs the dense FFN's body on the same dropout draw.
+        # softmax_backward zeroes the router's gradient, balance loss and all.
         x, params = make_case(experts=1, dropout=dropout)
         cfg = RouterConfig(1, capacity_factor=1.0)
         out, cache = switch_ffn_fwd(x, params, cfg, RngStream(0), mode)
@@ -405,7 +392,7 @@ class TestEquivalences:
         assert out.dropped_fraction == 0.0
         assert np.array_equal(out.y, y)
         grad_y = grad_of(y)
-        g = switch_ffn_bwd(grad_y, cache, aux_weight=0.0)
+        g = switch_ffn_bwd(grad_y, cache)
         dx, dw_in, dw_out = dense_ffn_bwd(grad_y, dense_cache)
         assert_bitwise(
             {"x": g["x"], "w_in": g["w_in"][0], "w_out": g["w_out"][0]},
@@ -459,16 +446,6 @@ class TestEquivalences:
             rest = [e for e in order[t] if e != first.expert_index[t]]
             assert second.expert_index[t] == rest[0]
 
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_frozen_plans_reproduce_the_mixture(self, renormalize):
-        x, params = make_case()
-        cfg = RouterConfig(EXPERTS, capacity_factor=1.0, ntlb_stages=1)
-        out, cache = moe_topk_ffn_fwd(x, params, 2, cfg, RngStream(0), "eval", renormalize)
-        again, _ = moe_topk_ffn_fwd(
-            x, params, 2, cfg, RngStream(0), "eval", renormalize, frozen_plans=cache.plans
-        )
-        assert np.array_equal(again.y, out.y)
-
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_caches_hold_no_one_hot_tensor(self, k):
         x, params = make_case(num_tokens=64)
@@ -488,15 +465,11 @@ class TestEquivalences:
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("ntlb_stages", [0, 2])
-    @pytest.mark.parametrize("frozen", [False, True])
-    def test_merged_slot_map_holds_each_slot_once(self, k, ntlb_stages, frozen):
+    @pytest.mark.parametrize("renormalize", [False, True])
+    def test_merged_slot_map_holds_each_slot_once(self, k, ntlb_stages, renormalize):
         x, params = make_case(num_tokens=512)
         cfg = RouterConfig(EXPERTS, capacity_factor=1.0, ntlb_stages=ntlb_stages)
-        _, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(0), "train")
-        if frozen:
-            _, cache = moe_topk_ffn_fwd(
-                x, params, k, cfg, RngStream(1), "train", frozen_plans=cache.plans
-            )
+        _, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(0), "train", renormalize)
         slots = cache.buffers.slots
         capacity = cache.plans[0].capacity
         assert len(slots.offsets) == k + 1 and slots.offsets[-1] == slots.token.size

@@ -157,11 +157,13 @@ def test_model_bwd_matches_full_logits_reference(tied):
         (trainer.model_bwd, "np.add.at"),
         (trainer.masked_cross_entropy, "np.add.at"),
         (trainer.distill_train, "np.add.at"),
+        (trainer._distill_loss_and_grad, "np.eye"),
     ],
     ids=lambda v: getattr(v, "__name__", v),
 )
 def test_train_step_kernels_avoid_slow_forms(func, slow_form):
-    """Un-optimized einsums and casting add-at scatters cost 5-20x here."""
+    """Un-optimized einsums and casting add-at scatters cost 5-20x here, and
+    ``np.eye`` builds a [V, V] matrix to pick one entry per row."""
     assert slow_form not in inspect.getsource(func)
 
 
@@ -350,6 +352,35 @@ def test_distill_train_repeats_exactly():
     second_params = named_parameters(second)
     for name, arr in named_parameters(first).items():
         assert arr.tobytes() == second_params[name].tobytes(), name
+
+
+def _one_hot_distill_loss_and_grad(student_logits, teacher_logits, target_ids, hard_weight):
+    """``_distill_loss_and_grad`` on [n, V] logits, its target mixture built from
+    a one-hot matrix."""
+    n, v = student_logits.shape
+    shifted = student_logits - student_logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    q = softmax(teacher_logits, axis=-1)
+    one_hot = np.eye(v, dtype=student_logits.dtype)[target_ids]
+    target = hard_weight * one_hot + (1 - hard_weight) * q
+    return float(-(target * logp).sum(axis=1).mean()), (np.exp(logp) - target) / n
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_distill_loss_equals_one_hot_mixture_bit_for_bit(dtype):
+    rng = RngStream(17)
+    for i, (n, v) in enumerate([(1, 2), (5, 6), (37, 64), (128, 61)]):
+        student = (3.0 * rng.substream(f"s{i}").normal((n, v))).astype(dtype)
+        teacher = (3.0 * rng.substream(f"t{i}").normal((n, v))).astype(dtype)
+        ids = rng.substream(f"ids{i}").integers(0, v, n)
+        for hard_weight in (0.0, 0.123456789, 0.3, 0.75, 1.0):
+            loss, grad = trainer._distill_loss_and_grad(student, teacher, ids, hard_weight)
+            want_loss, want_grad = _one_hot_distill_loss_and_grad(
+                student, teacher, ids, hard_weight
+            )
+            assert loss == want_loss
+            assert grad.dtype == want_grad.dtype == dtype
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 def _reference_adam(params, grads, state, lr):
