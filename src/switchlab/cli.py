@@ -26,13 +26,27 @@ import numpy as np
 from . import parallel_sim, trainer
 from .parallel_sim import MeshLayout, comm_cost_report, comm_report_to_csv, make_mesh
 from .router import RouterConfig, expert_capacity
-from .switch_layer import dense_ffn_fwd, dense_ffn_bwd, init_switch_layer_params
-from .tensor_core import InvalidArgumentError, RngStream, grad_check
+from .switch_layer import (
+    AttentionConfig,
+    AttentionWeights,
+    SwitchLayerParams,
+    attention_bwd,
+    attention_fwd,
+    dense_ffn_bwd,
+    dense_ffn_fwd,
+    init_switch_layer_params,
+    moe_topk_ffn_bwd,
+    moe_topk_ffn_fwd,
+    switch_ffn_bwd,
+    switch_ffn_fwd,
+)
+from .tensor_core import InvalidArgumentError, RngStream, grad_check, softmax_backward
 from .trainer import (
     AdamState,
     MetricRow,
     ToyModel,
     TrainConfig,
+    _distill_loss_and_grad,
     build_model,
     named_parameters,
     train,
@@ -476,18 +490,8 @@ def _gradient_checks():
     from routing ties as well as from the relu kink: no probe may change an
     expert choice, and so none moves a token to another slot.
     """
+    # Bound here, so a patched ``router.route`` is the one the suite calls.
     from .router import route
-    from .switch_layer import (
-        AttentionConfig,
-        AttentionWeights,
-        attention_bwd,
-        attention_fwd,
-        moe_topk_ffn_bwd,
-        moe_topk_ffn_fwd,
-        switch_ffn_bwd,
-        switch_ffn_fwd,
-    )
-    from .trainer import _distill_loss_and_grad
 
     rng = RngStream(2024)
 
@@ -521,16 +525,12 @@ def _gradient_checks():
             d_probs[kept, plan.expert_index[kept]] = 2.0 * gates[kept]
             num_tokens, n = probs.shape
             d_probs += cfg.alpha * n * stats.f / num_tokens
-            from .tensor_core import softmax_backward
-
             d_logits = softmax_backward(d_probs, probs)
             return loss, [d_logits @ params[1].T, params[0].T @ d_logits]
 
         return grad_check(f, [x, w])
 
     def switch_check():
-        from .switch_layer import SwitchLayerParams
-
         cfg = RouterConfig(num_experts=2, capacity_factor=2.0, alpha=0.01)
         # Drawn so that every occupied slot's pre-activation is at least
         # 10 h from the relu kink.
@@ -547,8 +547,6 @@ def _gradient_checks():
         return grad_check(f, [x, params.w_router, params.w_in, params.w_out])
 
     def topk_check(renormalize: bool):
-        from .switch_layer import SwitchLayerParams
-
         # Four slots per expert for 8 tokens: half the second choices overflow.
         # Drawn, as for switch_check, away from the relu kink.
         cfg = RouterConfig(num_experts=3, capacity_factor=1.5, alpha=0.01)
@@ -565,8 +563,6 @@ def _gradient_checks():
         return grad_check(f, [x, params.w_router, params.w_in, params.w_out])
 
     def attention_check(routed_q: bool):
-        from .switch_layer import SwitchLayerParams
-
         cfg = RouterConfig(num_experts=2, capacity_factor=2.0, alpha=0.01)
         if routed_q:
             acfg = AttentionConfig(num_heads=1, router=cfg)

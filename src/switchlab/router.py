@@ -33,6 +33,7 @@ from .tensor_core import (
     InvalidArgumentError,
     NumericError,
     RngStream,
+    inverted_dropout,
     quantize_bf16,
     softmax,
 )
@@ -56,15 +57,19 @@ POLICIES = ("argmax", "sample_softmax", "input_dropout", "input_jitter")
 class RouterConfig:
     """Routing hyperparameters.
 
-    ``alpha`` weights the load-balance loss (default 1e-2). ``policy`` picks
-    the train-time exploration strategy; evaluation always reduces to plain
-    argmax on unperturbed inputs. ``ntlb_stages`` enables no-token-left-behind
+    ``num_experts`` is the expert count N. ``capacity_factor`` scales each
+    expert's slot budget (see ``expert_capacity``). ``alpha`` weights the
+    load-balance loss (default 1e-2). ``policy`` picks the train-time
+    exploration strategy; evaluation always reduces to plain argmax on
+    unperturbed inputs. ``dropout_rate`` is the input_dropout policy's drop
+    rate. ``jitter_eps`` is the input_jitter policy's noise half-width: the
+    router's inputs are scaled by uniform draws in [1 - eps, 1 + eps], or,
+    with ``jitter_on_logits``, those draws are added to the logits instead (a
+    variant kept for comparison). ``ntlb_stages`` enables no-token-left-behind
     rerouting (0 = plain top-1 routing). ``selective_precision`` emulates
     bfloat16 transport: router inputs are bf16-quantized on entry, the
     softmax runs at full float32, and the gates that weight the expert
     outputs are re-quantized to bfloat16 on the way out.
-    ``jitter_on_logits`` switches the jitter policy to the additive-on-logits
-    variant, kept for comparison.
     """
 
     num_experts: int
@@ -200,11 +205,7 @@ def apply_policy(
         noise = rng.uniform(x.shape, 1.0 - eps, 1.0 + eps).astype(x.dtype)
         return x * noise, noise
     # input_dropout
-    rate = config.dropout_rate
-    if rate == 0.0:
-        return x, None
-    keep = (rng.uniform(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * keep, keep
+    return inverted_dropout(x, config.dropout_rate, rng, mode)
 
 
 def route(

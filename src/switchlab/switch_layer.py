@@ -35,6 +35,7 @@ from .tensor_core import (
     InvalidArgumentError,
     RngStream,
     init_weight,
+    inverted_dropout,
     quantize_bf16,
     relu,
     relu_backward,
@@ -156,25 +157,6 @@ def init_attention_weights(
 
 
 # ---------------------------------------------------------------------------
-# Dropout
-# ---------------------------------------------------------------------------
-
-
-def _dropout(
-    x: np.ndarray, rate: float, rng: RngStream | None, mode: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout; returns (output, keep-scale) with scale None when inert."""
-    if mode != "train" or rate == 0.0:
-        return x, None
-    if not 0.0 <= rate < 1.0:
-        raise InvalidArgumentError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise InvalidArgumentError("dropout in train mode requires an rng")
-    keep = (rng.uniform(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * keep, keep
-
-
-# ---------------------------------------------------------------------------
 # The FFN body, shared by the dense FFN and every expert
 # ---------------------------------------------------------------------------
 
@@ -208,7 +190,7 @@ def _ffn_fwd(
     h = x @ w_in
     if w_out is None:
         return h, DenseFfnCache(x, w_in, None, None, None, None)
-    activated, drop_scale = _dropout(relu(h), dropout, rng, mode)
+    activated, drop_scale = inverted_dropout(relu(h), dropout, rng, mode)
     return activated @ w_out, DenseFfnCache(x, w_in, w_out, h, activated, drop_scale)
 
 
@@ -664,7 +646,8 @@ def attention_fwd(
 
 
 def attention_bwd(grad_y: np.ndarray, cache: AttentionCache) -> dict[str, np.ndarray]:
-    """Grads for x, w_k, w_v, w_o, and either w_q or the query switch params."""
+    """Grads for x, w_k, w_v, w_o, and either w_q or the query switch params
+    under a ``q.`` prefix (no ``q.w_out`` for linear experts)."""
     x, w = cache.x, cache.weights
     b, l, d = x.shape
     h = cache.config.num_heads
@@ -706,10 +689,7 @@ def attention_bwd(grad_y: np.ndarray, cache: AttentionCache) -> dict[str, np.nda
         dx = dx + dq @ w.w_q.T
     else:
         q_grads = switch_ffn_bwd(dq, cache.q_cache)
-        grads["q.w_router"] = q_grads["w_router"]
-        grads["q.w_in"] = q_grads["w_in"]
-        if q_grads["w_out"] is not None:
-            grads["q.w_out"] = q_grads["w_out"]
-        dx = dx + q_grads["x"]
+        dx = dx + q_grads.pop("x")
+        grads.update((f"q.{k}", g) for k, g in q_grads.items() if g is not None)
     grads["x"] = dx.reshape(b, l, d)
     return grads

@@ -3,7 +3,7 @@
 Everything downstream builds on this module: the package's typed errors,
 the heap setting that lets each step reuse freed array memory,
 counter-based random streams, truncated-normal initialization, softmax and
-relu with their backward passes, bfloat16 emulation, and a
+relu with their backward passes, inverted dropout, bfloat16 emulation, and a
 central-finite-difference gradient checker.
 
 Arrays are plain ``np.ndarray`` in float32: every activation, cache array,
@@ -40,6 +40,7 @@ __all__ = [
     "quantize_bf16",
     "relu",
     "relu_backward",
+    "inverted_dropout",
     "GradReport",
     "grad_check",
     "keep_freed_heap",
@@ -283,7 +284,7 @@ def quantize_bf16(x):
 
 
 # ---------------------------------------------------------------------------
-# Relu
+# Relu and dropout
 # ---------------------------------------------------------------------------
 
 
@@ -293,6 +294,20 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_out * (np.asarray(x) > 0)
+
+
+def inverted_dropout(
+    x: np.ndarray, rate: float, rng: RngStream | None, mode: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout; returns (output, keep-scale) with scale None when inert."""
+    if mode != "train" or rate == 0.0:
+        return x, None
+    if not 0.0 <= rate < 1.0:
+        raise InvalidArgumentError(f"dropout rate must be in [0, 1), got {rate}")
+    if rng is None:
+        raise InvalidArgumentError("dropout in train mode requires an rng")
+    keep = (rng.uniform(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    return x * keep, keep
 
 
 # ---------------------------------------------------------------------------

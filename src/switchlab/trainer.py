@@ -81,6 +81,7 @@ MODES = ("pretrain", "finetune", "distill")
 # higher inside them.
 FINETUNE_DROPOUT = 0.1
 FINETUNE_EXPERT_DROPOUT = 0.4
+CORPUS_SHARPNESS = 3.0  # scale of the corpus's bigram-table logits
 
 
 @dataclass
@@ -134,6 +135,14 @@ class TrainConfig:
         if not 0 <= self.sentinel_id < self.vocab:
             raise InvalidArgumentError(
                 f"sentinel_id {self.sentinel_id} outside vocab of {self.vocab}"
+            )
+        if self.num_clusters < 1:
+            raise InvalidArgumentError(f"num_clusters must be >= 1, got {self.num_clusters}")
+        # gen_synthetic_corpus emits the ids below K equal ranges of (vocab - 1) // K.
+        corpus_ids = self.num_clusters * ((self.vocab - 1) // self.num_clusters)
+        if self.sentinel_id < corpus_ids:
+            raise InvalidArgumentError(
+                f"sentinel_id {self.sentinel_id} is a corpus token id (below {corpus_ids})"
             )
         if self.batch_tokens % self.seq_len != 0:
             raise InvalidArgumentError(
@@ -194,17 +203,16 @@ class SyntheticCorpus:
 
 
 def gen_synthetic_corpus(
-    vocab: int, num_clusters: int, seq_len: int, size: int, rng: RngStream,
-    sharpness: float = 3.0,
+    vocab: int, num_clusters: int, seq_len: int, size: int, rng: RngStream
 ) -> SyntheticCorpus:
     """Sequences from K cluster-specific bigram chains over disjoint token ranges.
 
     The top token id is reserved for the mask sentinel; the rest splits
     evenly into per-cluster ranges, each with its own randomly drawn
-    transition table (``sharpness`` scales the table logits: larger means
-    more peaked rows and more per-cluster structure to memorize). A sequence
-    picks a cluster, a uniform start token in that cluster's range, and then
-    walks the chain.
+    transition table (``CORPUS_SHARPNESS`` scales the table logits: larger
+    means more peaked rows and more per-cluster structure to memorize). A
+    sequence picks a cluster, a uniform start token in that cluster's range,
+    and then walks the chain.
     """
     if num_clusters < 1:
         raise InvalidArgumentError(f"num_clusters must be >= 1, got {num_clusters}")
@@ -218,7 +226,7 @@ def gen_synthetic_corpus(
 
     transitions = []
     for k in range(num_clusters):
-        logits = sharpness * rng.substream(f"cluster{k}/table").normal((width, width))
+        logits = CORPUS_SHARPNESS * rng.substream(f"cluster{k}/table").normal((width, width))
         transitions.append(softmax(logits, axis=-1))
 
     sequences, cluster_ids = _walk_chains(transitions, ranges, seq_len, size, rng)
@@ -227,9 +235,8 @@ def gen_synthetic_corpus(
 
 def sample_sequences(corpus: SyntheticCorpus, size: int, rng: RngStream) -> SyntheticCorpus:
     """Fresh sequences from an existing corpus's cluster processes (held-out data)."""
-    seq_len = corpus.sequences.shape[1] if corpus.sequences.ndim == 2 else 0
     sequences, cluster_ids = _walk_chains(
-        corpus.transitions, corpus.token_ranges, seq_len, size, rng
+        corpus.transitions, corpus.token_ranges, corpus.sequences.shape[1], size, rng
     )
     return SyntheticCorpus(sequences, cluster_ids, corpus.transitions, corpus.token_ranges)
 
@@ -571,35 +578,23 @@ def model_bwd(model: ToyModel, cache: ModelCache, d_logits: np.ndarray) -> dict[
         dh[cache.targets] = d_logits @ model.embedding
     dh = dh.reshape(s, l, d)
 
+    def add_layer(prefix: str, layer_grads: dict[str, np.ndarray]) -> np.ndarray:
+        """File a layer's weight grads under ``prefix``; return its input grad."""
+        dx = layer_grads.pop("x")
+        grads.update((prefix + k, g) for k, g in layer_grads.items())
+        return dx
+
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
-        p = f"block{i}"
         flat_dh = dh.reshape(s * l, d)
         if blk.ffn_kind == "dense":
-            dx, dw_in, dw_out = dense_ffn_bwd(flat_dh, cache.ffn_caches[i])
-            grads[f"{p}.ffn.w_in"] = dw_in
-            grads[f"{p}.ffn.w_out"] = dw_out
+            f_grads = dict(zip(("x", "w_in", "w_out"), dense_ffn_bwd(flat_dh, cache.ffn_caches[i])))
         else:
             bwd = switch_ffn_bwd if blk.ffn_kind == "switch" else moe_topk_ffn_bwd
-            g = bwd(flat_dh, cache.ffn_caches[i])
-            dx = g["x"]
-            grads[f"{p}.ffn.w_router"] = g["w_router"]
-            grads[f"{p}.ffn.w_in"] = g["w_in"]
-            grads[f"{p}.ffn.w_out"] = g["w_out"]
-        dh = dh + dx.reshape(s, l, d)  # residual: gradient flows to both paths
-
-        a_grads = attention_bwd(dh, cache.attn_caches[i])
-        grads[f"{p}.attn.w_k"] = a_grads["w_k"]
-        grads[f"{p}.attn.w_v"] = a_grads["w_v"]
-        grads[f"{p}.attn.w_o"] = a_grads["w_o"]
-        if blk.attn_q_switch is None:
-            grads[f"{p}.attn.w_q"] = a_grads["w_q"]
-        else:
-            grads[f"{p}.attn.q.w_router"] = a_grads["q.w_router"]
-            grads[f"{p}.attn.q.w_in"] = a_grads["q.w_in"]
-            if "q.w_out" in a_grads:
-                grads[f"{p}.attn.q.w_out"] = a_grads["q.w_out"]
-        dh = dh + a_grads["x"]
+            f_grads = bwd(flat_dh, cache.ffn_caches[i])
+        # residual: gradient flows to both paths
+        dh = dh + add_layer(f"block{i}.ffn.", f_grads).reshape(s, l, d)
+        dh = dh + add_layer(f"block{i}.attn.", attention_bwd(dh, cache.attn_caches[i]))
 
     # Scatter-add each position's gradient onto its token's embedding row as
     # one flat float64 bincount over (token id, feature) cells, which sums
@@ -813,38 +808,29 @@ def _distill_loss_and_grad(
 def init_student_from_teacher(teacher: ToyModel, student: ToyModel) -> ToyModel:
     """Copy every non-expert weight from teacher into a fresh student.
 
-    Embeddings, attention projections, dense FFNs at non-expert positions,
-    and the output projection transfer; the student's FFNs at the teacher's
-    expert positions keep their fresh initialization (no expert weight is
-    copied, in any form).
+    Every tensor both models name in ``named_parameters`` transfers, except
+    those of a routed layer: the routed-query tensors (``.attn.q.*``) and the
+    FFN of any block that either model routes. Those keep the student's
+    fresh initialization, so no expert weight is copied, in any form.
     """
     if len(teacher.blocks) != len(student.blocks):
         raise InvalidArgumentError(
             f"block counts differ: teacher {len(teacher.blocks)}, student {len(student.blocks)}"
         )
     out = copy.deepcopy(student)
-
-    def copy_tensor(dst: np.ndarray, src: np.ndarray, name: str) -> None:
-        if dst.shape != src.shape:
+    routed = tuple(
+        f"block{i}.ffn." for i, (tb, sb) in enumerate(zip(teacher.blocks, out.blocks))
+        if tb.ffn_kind != "dense" or sb.ffn_kind != "dense"
+    )
+    src = named_parameters(teacher)
+    for name, dst in named_parameters(out).items():
+        if name not in src or ".attn.q." in name or name.startswith(routed):
+            continue
+        if dst.shape != src[name].shape:
             raise InvalidArgumentError(
-                f"{name}: teacher shape {src.shape} does not match student {dst.shape}"
+                f"{name}: teacher shape {src[name].shape} does not match student {dst.shape}"
             )
-        dst[...] = src
-
-    copy_tensor(out.embedding, teacher.embedding, "embedding")
-    if teacher.out_proj is not None and out.out_proj is not None:
-        copy_tensor(out.out_proj, teacher.out_proj, "out_proj")
-    for i, (tb, sb) in enumerate(zip(teacher.blocks, out.blocks)):
-        name = f"block{i}"
-        copy_tensor(sb.attn_weights.w_k, tb.attn_weights.w_k, f"{name}.attn.w_k")
-        copy_tensor(sb.attn_weights.w_v, tb.attn_weights.w_v, f"{name}.attn.w_v")
-        copy_tensor(sb.attn_weights.w_o, tb.attn_weights.w_o, f"{name}.attn.w_o")
-        if tb.attn_weights.w_q is not None and sb.attn_weights.w_q is not None:
-            copy_tensor(sb.attn_weights.w_q, tb.attn_weights.w_q, f"{name}.attn.w_q")
-        if tb.ffn_kind == "dense" and sb.ffn_kind == "dense":
-            copy_tensor(sb.ffn_w_in, tb.ffn_w_in, f"{name}.ffn.w_in")
-            copy_tensor(sb.ffn_w_out, tb.ffn_w_out, f"{name}.ffn.w_out")
-        # expert positions: student keeps its fresh dense init
+        dst[...] = src[name]
     return out
 
 
@@ -853,14 +839,13 @@ def distill_train(
     config: TrainConfig,
     router_config: RouterConfig,
     corpus: SyntheticCorpus | None = None,
-    init_from_teacher: bool = True,
 ) -> tuple[ToyModel, AdamState, list[MetricRow]]:
     """Train a dense student against teacher logits mixed with hard targets.
 
     Teacher logits are computed in eval mode (no exploration noise, no
     dropout) and treated as constants, so the teacher forward keeps no
-    backward cache; only the student's does. The student is all-dense; with
-    ``init_from_teacher`` its non-expert weights start from the teacher.
+    backward cache; only the student's does. The student is all-dense, and
+    its non-expert weights start from the teacher.
     """
     student_config = replace(config, ffn_kind="dense", attention_kind="dense", mode="distill")
     root = RngStream(config.seed)
@@ -870,8 +855,7 @@ def distill_train(
             root.substream("corpus"),
         )
     student = build_model(student_config, router_config, root.substream("student_init"))
-    if init_from_teacher:
-        student = init_student_from_teacher(teacher, student)
+    student = init_student_from_teacher(teacher, student)
 
     opt_state = AdamState()
     rows = []

@@ -454,3 +454,31 @@ def test_distill_command_rejects_invalid_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "hard_weight" in err
     assert "Traceback" not in err
+
+
+def test_train_command_rejects_a_sentinel_the_corpus_can_emit(tmp_path, capsys):
+    argv = ["train", "--seed", "0", "--outdir", str(tmp_path), "--set", "train.sentinel_id=5"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sentinel_id 5" in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_writes_one_run_per_value(tmp_path, capsys):
+    argv = ["sweep", "--seed", "2", "--outdir", str(tmp_path), "--param", "router.policy",
+            "--values", "argmax,input_jitter"]
+    for item in DISTILL_TINY + ["train.ffn_kind=switch", "train.expert_every=1"]:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.count("sweep variant") == 2
+    configs = {}
+    for value in ("argmax", "input_jitter"):
+        run = tmp_path / f"run_policy_{value}"
+        assert {"metrics.csv", "final.ckpt", "config.txt"} <= {p.name for p in run.iterdir()}
+        configs[value] = set((run / "config.txt").read_text().splitlines())
+    # The variants differ in the swept key and in the run name made from it.
+    assert configs["argmax"] ^ configs["input_jitter"] == {
+        "router.policy=argmax", "router.policy=input_jitter",
+        "run.name=run_policy_argmax", "run.name=run_policy_input_jitter",
+    }

@@ -41,7 +41,9 @@ from switchlab.switch_layer import (
     switch_ffn_bwd,
     switch_ffn_fwd,
 )
-from switchlab.tensor_core import RngStream, relu, relu_backward, softmax_backward
+from switchlab.tensor_core import (
+    RngStream, inverted_dropout, relu, relu_backward, softmax_backward,
+)
 
 D_MODEL, D_FF, EXPERTS = 16, 24, 4
 
@@ -108,7 +110,7 @@ def onehot_buffers_fwd(x, slots, w_in, w_out, expert_dropout, rng, mode):
         pre_relu = activated = drop_scale = None
     else:
         pre_relu = np.stack([expert_in[v] @ w_in[e] for v, e in experts])
-        activated, drop_scale = sl._dropout(relu(pre_relu), expert_dropout, rng, mode)
+        activated, drop_scale = inverted_dropout(relu(pre_relu), expert_dropout, rng, mode)
         expert_out = np.stack([activated[v] @ w_out[e] for v, e in experts])
     y = slots.scatter(expert_out, gated=True)
     cache = SimpleNamespace(

@@ -14,7 +14,7 @@ import pytest
 
 from switchlab import cli, switch_layer, trainer
 from switchlab.router import RouterConfig
-from switchlab.tensor_core import RngStream, grad_check, softmax
+from switchlab.tensor_core import InvalidArgumentError, RngStream, grad_check, softmax
 from switchlab.trainer import (
     AdamState,
     Batch,
@@ -316,26 +316,57 @@ def test_evaluate_peak_memory_stays_flat_in_depth():
     assert deep <= 1.2 * shallow, f"evaluate peak {shallow} B at 2 layers, {deep} B at 4"
 
 
-def test_student_init_copies_every_non_expert_tensor():
-    config = TrainConfig(ffn_kind="switch", num_layers=4, expert_every=2, seed=3)
+@pytest.mark.parametrize(
+    "teacher_settings",
+    [
+        dict(ffn_kind="switch"),
+        dict(ffn_kind="moe2", attention_kind="switch"),
+        dict(ffn_kind="switch", tie_embeddings=True),
+    ],
+    ids=["switch", "moe2_switch_attention", "switch_tied"],
+)
+def test_student_init_copies_every_non_expert_tensor(teacher_settings):
+    config = TrainConfig(num_layers=4, expert_every=2, seed=3, **teacher_settings)
     router_config = RouterConfig(num_experts=4)
     teacher = build_model(config, router_config, RngStream(3).substream("teacher"))
+    # The student distill_train builds: all-dense, with the teacher's tying.
     student = build_model(
-        dataclasses.replace(config, ffn_kind="dense"), router_config,
+        dataclasses.replace(config, ffn_kind="dense", attention_kind="dense"), router_config,
         RngStream(3).substream("student"),
     )
     before = {k: v.copy() for k, v in named_parameters(student).items()}
     taught = named_parameters(teacher)
     assert not np.array_equal(before["embedding"], taught["embedding"])
+    routed_q = config.attention_kind == "switch"
+    assert any(".attn.q." in name for name in taught) == routed_q
+    assert ("out_proj" in before) == ("out_proj" in taught) == (not config.tie_embeddings)
 
     got = named_parameters(trainer.init_student_from_teacher(teacher, student))
-    expert_ffns = {f"block{i}.ffn.{w}" for i in (1, 3) for w in ("w_in", "w_out")}
+    # The student keeps its own FFNs at the teacher's expert blocks, and its
+    # dense queries where the teacher routes them.
+    fresh = {f"block{i}.ffn.{w}" for i in (1, 3) for w in ("w_in", "w_out")}
+    if routed_q:
+        fresh |= {f"block{i}.attn.w_q" for i in range(4)}
     assert got.keys() == before.keys()
     for name, arr in got.items():
-        want = before[name] if name in expert_ffns else taught[name]
+        want = before[name] if name in fresh else taught[name]
         assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes(), name
     for name, arr in named_parameters(student).items():
         assert arr.tobytes() == before[name].tobytes(), f"{name} changed in the input student"
+
+
+def test_config_rejects_a_sentinel_the_corpus_can_emit():
+    config = TrainConfig()
+    corpus = gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
+        RngStream(0).substream("corpus"),
+    )
+    first_unused = corpus.token_ranges[-1][1]  # 60 at the defaults
+    assert 5 in corpus.sequences and not (corpus.sequences >= first_unused).any()
+    for sentinel in (5, first_unused - 1):
+        with pytest.raises(InvalidArgumentError, match=f"sentinel_id {sentinel} is a corpus token"):
+            TrainConfig(sentinel_id=sentinel)
+    assert TrainConfig(sentinel_id=first_unused).sentinel_id == first_unused
 
 
 def test_distill_train_repeats_exactly():
