@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .router import RouterConfig, route
-from .switch_layer import LayerOutput, SwitchLayerParams, _expert_buffers_fwd, _Slots
+from .switch_layer import LayerOutput, SwitchLayerParams, _expert_slices_fwd, _Slots
 from .tensor_core import InvalidArgumentError, RngStream
 
 __all__ = [
@@ -143,10 +143,11 @@ def run_sharded_switch_layer(
 
     Every strategy takes one path. One ``route`` call on the tokens as
     [n, T/n, d] routes each row's tokens as a group of its own; then column
-    j runs the single-core expert kernel (index gather into the rows'
-    [n, E, C, d] slots, expert FFN, gate-weighted index scatter) with its
-    d_ff slice of every expert. The column outputs are tree-summed and the
-    dropped tokens pass through. The ledger lists what the mesh would move:
+    j runs the single-core expert kernel (index gather of the kept rows,
+    each expert's FFN on its slice across all rows, gate-weighted index
+    scatter) with its d_ff slice of every expert; the kernel copies a slice
+    once where an expert's block of it is not C-contiguous. The column
+    outputs are tree-summed and the dropped tokens pass through. The ledger lists what the mesh would move:
     the all-to-all to the expert owners and back (expert strategies, n > 1)
     and the all-reduce of the column partials (m > 1). Evaluation
     semantics: no dropout, no exploration noise, and no draw from ``rng``'s
@@ -179,9 +180,10 @@ def run_sharded_switch_layer(
         x.reshape(n, num_tokens // n, d_model), params.w_router, router_config,
         rng.substream("route"), "eval",
     )
-    slots = _Slots.from_plan(plan, router_config.selective_precision)
+    # One slot map, and so one sort order, serves every column.
+    slots = _Slots.from_plans([plan], router_config.selective_precision)
     y = _tree_sum([
-        _expert_buffers_fwd(
+        _expert_slices_fwd(
             x, slots, params.w_in[:, :, cols], params.w_out[:, cols, :], 0.0, None, "eval",
         )[0]
         for cols in (slice(j * ff, (j + 1) * ff) for j in range(m))

@@ -5,10 +5,15 @@ scales that expert's output by the router gate; tokens that overflow an
 expert's slot budget pass through unchanged. It is the top-k mixture layer
 at k = 1, and both run one routed-FFN forward and one backward pass. An
 expert is the dense FFN applied to the tokens routed to it: one FFN body,
-``_ffn_fwd``/``_ffn_bwd``, serves the dense baseline and every expert
-(2-D weights or [E, ., .] stacks), and with no output weight it is the
-linear map of the attention variant whose query projection is
-expert-routed.
+``_ffn_fwd``/``_ffn_bwd``, serves the dense baseline and every expert, and
+with no output weight it is the linear map of the attention variant whose
+query projection is expert-routed.
+
+Capacity decides which tokens each expert keeps, but the experts multiply
+only the kept rows. The paper pads every expert to its capacity because
+accelerator tensors must be statically sized; here the kept rows are sorted
+by expert and each expert runs its own contiguous slice (``_Slots``), with
+the bits of the padded products.
 
 Every layer is a ``*_fwd``/``*_bwd`` pair: ``*_fwd`` returns the output and a
 cache, and ``*_bwd`` consumes the cache. ``switch_ffn`` is the switch FFN's
@@ -34,6 +39,7 @@ from .router import (
 from .tensor_core import (
     InvalidArgumentError,
     RngStream,
+    dropout_scale,
     init_weight,
     inverted_dropout,
     quantize_bf16,
@@ -161,6 +167,23 @@ def init_attention_weights(
 # ---------------------------------------------------------------------------
 
 
+class _DenseRows:
+    """Every row meets the one 2-D weight: the dense FFN's products.
+
+    ``_Slots`` has the same three methods for expert-sorted rows.
+    """
+
+    @staticmethod
+    def matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return a @ w
+
+    @staticmethod
+    def weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a.T @ b
+
+    dropout = staticmethod(inverted_dropout)
+
+
 @dataclass
 class DenseFfnCache:
     """Backward state of one FFN body; ``w_out`` None marks a linear map."""
@@ -180,34 +203,37 @@ def _ffn_fwd(
     dropout: float,
     rng: RngStream | None,
     mode: str,
+    rows=_DenseRows,
 ) -> tuple[np.ndarray, DenseFfnCache]:
     """relu(x @ w_in) @ w_out with dropout on the intermediate; x @ w_in when
     ``w_out`` is None.
 
-    The weights are one 2-D matrix each, or [E, ., .] stacks applied to an
-    [E, C, d] or [G, E, C, d] buffer, one 2-D product per expert.
+    The weights are one 2-D matrix each, or [E, ., .] stacks applied to
+    expert-sorted rows, each expert's slice with its own weights, when
+    ``rows`` is their ``_Slots``.
     """
-    h = x @ w_in
+    h = rows.matmul(x, w_in)
     if w_out is None:
         return h, DenseFfnCache(x, w_in, None, None, None, None)
-    activated, drop_scale = inverted_dropout(relu(h), dropout, rng, mode)
-    return activated @ w_out, DenseFfnCache(x, w_in, w_out, h, activated, drop_scale)
+    activated, drop_scale = rows.dropout(relu(h), dropout, rng, mode)
+    return rows.matmul(activated, w_out), DenseFfnCache(x, w_in, w_out, h, activated, drop_scale)
 
 
 def _ffn_bwd(
-    grad_y: np.ndarray, cache: DenseFfnCache
+    grad_y: np.ndarray, cache: DenseFfnCache, rows=_DenseRows
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Returns (dx, dw_in, dw_out), with dw_out None for a linear map."""
-    t = lambda a: a.swapaxes(-1, -2)
+    """Returns (dx, dw_in, dw_out), with dw_out None for a linear map; ``rows``
+    as in ``_ffn_fwd``."""
+    t = lambda w: w.swapaxes(-1, -2)
     if cache.w_out is None:
         dh, dw_out = grad_y, None
     else:
-        dw_out = t(cache.activated) @ grad_y
-        d_act = grad_y @ t(cache.w_out)
+        dw_out = rows.weight_grad(cache.activated, grad_y)
+        d_act = rows.matmul(grad_y, t(cache.w_out))
         if cache.drop_scale is not None:
             d_act = d_act * cache.drop_scale
         dh = relu_backward(d_act, cache.pre_relu)
-    return dh @ t(cache.w_in), t(cache.x) @ dh, dw_out
+    return rows.matmul(dh, t(cache.w_in)), rows.weight_grad(cache.x, dh), dw_out
 
 
 def dense_ffn_fwd(
@@ -236,103 +262,152 @@ def dense_ffn_bwd(
 
 
 # ---------------------------------------------------------------------------
-# Expert buffers: the shared gather -> FFN -> scatter kernel
+# Expert slices: the shared gather -> FFN -> scatter kernel
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class _Slots:
-    """Where a plan puts each token: row ``token[i]`` of the input sits in
-    row ``row[i]`` of the flat expert buffer, and its output is scaled by
-    ``gate[i]``.
+    """A routed layer's kept entries, sorted by expert, then group, then slot.
 
-    The buffer is ``[E, C, d]``, or ``[G, E, C, d]`` for grouped tokens, and
-    a token in slot c of expert e in group g sits in its flat row
-    ``(g·E + e)·C + c``. Rows move with one flat index, by ``take``.
+    Entry i sends input row ``token[i]`` to its expert, and the expert's
+    output for it is scaled by ``gate[i]``. ``key[i]`` is the entry's slot
+    in the padded slot grid read expert-major, ``(e·G + g)·C + c`` for slot
+    c of expert e in group g, and the keys ascend. Expert e's entries are
+    the slice ``bounds[e]:bounds[e + 1]``; a grouped plan's slices span
+    every group, since the groups share the expert weights. ``grid`` is the
+    padded layout's shape, (E, C), or (G, E, C) for grouped tokens.
 
-    Only kept tokens with a nonzero gate occupy a slot. With selective
+    Only kept tokens with a nonzero gate hold a slot. With selective
     precision the gate is bfloat16-quantized first, so a kept token whose
     gate rounds to zero leaves its slot empty, exactly as in the one-hot
-    form of ``build_dispatch_combine``.
+    form of ``build_dispatch_combine``. A top-k map holds every rank's
+    entries, ``rank[i]`` naming the rank; the ranks fill one capacity
+    budget, so no slot repeats, and each rank lists a token at most once.
 
-    A top-k map holds every rank's entries rank-major: rank r owns entries
-    ``offsets[r]:offsets[r + 1]``. The ranks fill one capacity budget, so
-    no buffer row repeats, and each rank lists a token at most once.
+    Each expert runs its 2-D products on its own slice, with the bits of
+    the zero-padded [C, d] products (OpenBLAS 0.3.31, one thread):
+    - a product against a C-contiguous right operand gives a row the same
+      bits at any row count of two or more. Against a transposed view, a
+      row's bits move below 9-37 rows, with the shape. So every product runs
+      against C-contiguous 2-D weights, the backward's against one
+      contiguous copy of each transposed weight stack per call;
+    - a one-row product takes the GEMV path and rounds otherwise, so a
+      one-row slice runs as two rows, the second zero. At C = 1 every padded
+      product had one row, so there each entry runs alone;
+    - a weight gradient ``a[lo:hi].T @ b[lo:hi]`` equals the zero-padded
+      C-row product at every slice length, one included;
+    - dropout draws its mask over the padded grid and takes the entries'
+      rows, so the random stream is the padded layout's.
     """
 
     token: np.ndarray  # [K] int
-    row: np.ndarray  # [K] int
     gate: np.ndarray  # [K] float
+    rank: np.ndarray  # [K] int
+    key: np.ndarray  # [K] int, ascending
+    bounds: list[int]  # [E + 1]
+    grid: tuple[int, ...]  # (E, C) or (G, E, C)
     num_tokens: int
-    buffer_shape: tuple[int, ...]  # (E, C) or (G, E, C)
-    offsets: tuple[int, ...]  # rank boundaries into the K entries
-
-    @classmethod
-    def from_plan(cls, plan: DispatchPlan, selective_precision: bool) -> "_Slots":
-        token = np.flatnonzero(~plan.dropped)
-        gate = plan.gate[token]
-        if selective_precision:
-            gate = quantize_bf16(gate)
-        live = gate != 0
-        token, gate = token[live], gate[live]
-        key = plan.slot_key(token, plan.expert_index[token])
-        shape = (plan.num_experts, plan.capacity)
-        if plan.num_groups > 1:
-            shape = (plan.num_groups,) + shape
-        return cls(
-            token, key * plan.capacity + plan.position_in_expert[token], gate,
-            plan.num_tokens, shape, (0, token.size),
-        )
+    num_ranks: int
 
     @classmethod
     def from_plans(cls, plans: list[DispatchPlan], selective_precision: bool) -> "_Slots":
-        """One map for the ranks of a top-k layer, whose plans share a capacity budget."""
-        ranks = [cls.from_plan(p, selective_precision) for p in plans]
-        cat = lambda name: np.concatenate([getattr(r, name) for r in ranks])
+        """One map for the ranks of a routed layer, whose plans share a capacity budget."""
+        per_rank = []
+        for r, p in enumerate(plans):
+            token = np.flatnonzero(~p.dropped)
+            gate = p.gate[token]
+            if selective_precision:
+                gate = quantize_bf16(gate)
+            live = gate != 0
+            token = token[live]
+            per_rank.append((
+                token, gate[live], p.expert_index[token], p.position_in_expert[token],
+                np.full(token.size, r),
+            ))
+        token, gate, expert, slot, rank = (
+            per_rank[0] if len(plans) == 1 else [np.concatenate(c) for c in zip(*per_rank)]
+        )
+        plan = plans[0]
+        groups, experts, capacity = plan.num_groups, plan.num_experts, plan.capacity
+        group = token // (plan.num_tokens // groups)
+        # One counting pass over the expert-major slot grid, where every
+        # slot holds at most one entry.
+        entry = np.full(experts * groups * capacity, -1)
+        entry[(expert * groups + group) * capacity + slot] = np.arange(token.size)
+        key = np.flatnonzero(entry >= 0)
+        order = entry[key]
         return cls(
-            cat("token"), cat("row"), cat("gate"), ranks[0].num_tokens, ranks[0].buffer_shape,
-            tuple(np.cumsum([0] + [r.token.size for r in ranks]).tolist()),
+            token[order], gate[order], rank[order], key,
+            np.searchsorted(key, np.arange(experts + 1) * groups * capacity).tolist(),
+            (experts, capacity) if groups == 1 else (groups, experts, capacity),
+            plan.num_tokens, len(plans),
         )
 
-    def take(self, buf: np.ndarray) -> np.ndarray:
-        """The [K, d] rows of the entries' slots in a buffer of ``buffer_shape``."""
-        return buf.reshape(-1, buf.shape[-1]).take(self.row, axis=0)
+    def matmul(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Each expert's slice of the [K, .] rows times its 2-D weight in ``w``;
+        the stack is copied once if those weights are not C-contiguous."""
+        if not w[0].flags.c_contiguous:
+            w = np.ascontiguousarray(w)
+        out = np.empty((a.shape[0], w.shape[-1]), dtype=np.result_type(a, w))
+        capacity = self.grid[-1]
+        for e, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
+            if capacity == 1:
+                for i in range(lo, hi):
+                    np.matmul(a[i:i + 1], w[e], out=out[i:i + 1])
+            elif hi - lo == 1:
+                out[lo] = (np.concatenate((a[lo:hi], np.zeros_like(a[lo:hi]))) @ w[e])[0]
+            elif hi > lo:
+                np.matmul(a[lo:hi], w[e], out=out[lo:hi])
+        return out
 
-    def gather(self, x: np.ndarray, gated: bool = False) -> np.ndarray:
-        """[T, d] rows, optionally gate-scaled, into a zero-padded buffer."""
-        rows = x.take(self.token, axis=0)
-        if gated:
-            rows = rows * self.gate[:, None]
-        buf = np.zeros((math.prod(self.buffer_shape), x.shape[1]), dtype=rows.dtype)
-        buf[self.row] = rows
-        return buf.reshape(self.buffer_shape + (x.shape[1],))
+    def weight_grad(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The [E, ., .] stack of a[slice].T @ b[slice]; zero for an empty slice."""
+        bounds = self.bounds
+        out = np.empty((len(bounds) - 1, a.shape[1], b.shape[1]), dtype=np.result_type(a, b))
+        for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            np.matmul(a[lo:hi].T, b[lo:hi], out=out[e])
+        return out
 
-    def scatter(self, buf: np.ndarray, gated: bool = False) -> np.ndarray:
-        """Buffer slots, optionally gate-scaled, back onto their [T, d] rows; zero elsewhere.
+    def dropout(
+        self, x: np.ndarray, rate: float, rng: RngStream | None, mode: str
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Inverted dropout on [K, d] rows, with the mask drawn over the padded grid."""
+        keep = dropout_scale(self.grid + x.shape[1:], x.dtype, rate, rng, mode)
+        if keep is None:
+            return x, None
+        # Read the mask expert-major, as the keys are.
+        keep = np.moveaxis(keep, -3, 0).reshape(-1, x.shape[1]).take(self.key, axis=0)
+        return x * keep, keep
 
-        The first rank assigns its rows and later ranks add theirs in rank
-        order: since a rank lists each token at most once, this is the
-        per-rank sum ``y_0 + y_1 + ...`` bit for bit.
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """The entries' [K, d] rows onto their tokens' [T, d] rows; zero elsewhere.
+
+        Rank 0 assigns its rows and later ranks add theirs in rank order:
+        since a rank lists each token at most once, this is the per-rank sum
+        ``y_0 + y_1 + ...`` bit for bit.
         """
-        rows = self.take(buf)
-        if gated:
-            rows = rows * self.gate[:, None]
-        out = np.zeros((self.num_tokens, buf.shape[-1]), dtype=rows.dtype)
-        bounds = self.offsets
-        out[self.token[: bounds[1]]] = rows[: bounds[1]]
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            out[self.token[lo:hi]] += rows[lo:hi]
+        out = np.zeros((self.num_tokens, rows.shape[1]), dtype=rows.dtype)
+        if self.num_ranks == 1:
+            out[self.token] = rows
+            return out
+        for r in range(self.num_ranks):
+            mine = self.rank == r
+            if r == 0:
+                out[self.token[mine]] = rows[mine]
+            else:
+                out[self.token[mine]] += rows[mine]
         return out
 
 
 @dataclass
-class _ExpertBufferCache:
+class _ExpertSliceCache:
     slots: _Slots
-    ffn: DenseFfnCache  # the experts' FFN body over the [E, C, d] slots
-    expert_out: np.ndarray  # [E, C, d]
+    ffn: DenseFfnCache  # the experts' FFN body over the [K, d] sorted rows
+    expert_out: np.ndarray  # [K, d], before the gate
 
 
-def _expert_buffers_fwd(
+def _expert_slices_fwd(
     x: np.ndarray,
     slots: _Slots,
     w_in: np.ndarray,
@@ -340,32 +415,34 @@ def _expert_buffers_fwd(
     expert_dropout: float,
     rng: RngStream | None,
     mode: str,
-) -> tuple[np.ndarray, _ExpertBufferCache]:
-    """Gather tokens into expert slots, run the experts, scatter gate-scaled outputs.
+) -> tuple[np.ndarray, _ExpertSliceCache]:
+    """Gather the kept rows, run each expert on its slice, scatter gate-scaled outputs.
 
     The gather and scatter move rows by index, so the cost is linear in the
-    token count. The experts run the dense FFN's body over the padded
-    [E, C, d] stack, or [G, E, C, d] for grouped tokens: a 2-D BLAS product
-    per expert (and group) whose rows depend on their own slot alone. This
+    token count, and the experts multiply the K kept rows only. Each row's
+    bits are those of the padded [E, C, d] products (see ``_Slots``), which
     keeps the one-hot einsum form's arithmetic, a single-expert layer
     bit-identical to the dense baseline, and each group bit-identical to
     that group run alone.
     """
-    expert_out, ffn = _ffn_fwd(slots.gather(x), w_in, w_out, expert_dropout, rng, mode)
-    y = slots.scatter(expert_out, gated=True)
-    return y, _ExpertBufferCache(slots, ffn, expert_out)
+    expert_out, ffn = _ffn_fwd(
+        x.take(slots.token, axis=0), w_in, w_out, expert_dropout, rng, mode, slots
+    )
+    y = slots.scatter(expert_out * slots.gate[:, None])
+    return y, _ExpertSliceCache(slots, ffn, expert_out)
 
 
-def _expert_buffers_bwd(
-    grad_y: np.ndarray, cache: _ExpertBufferCache
+def _expert_slices_bwd(
+    grad_y: np.ndarray, cache: _ExpertSliceCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """Returns (dx, d_gate [K], dw_in, dw_out); d_gate follows ``cache.slots``."""
     slots = cache.slots
+    grad_rows = grad_y.take(slots.token, axis=0)
     # einsum reduces over d the way the one-hot d_combine einsum did, which
     # keeps the gate gradient bit-identical to that form.
-    d_gate = np.einsum("kd,kd->k", grad_y[slots.token], slots.take(cache.expert_out))
-    d_expert_in, dw_in, dw_out = _ffn_bwd(slots.gather(grad_y, gated=True), cache.ffn)
-    return slots.scatter(d_expert_in), d_gate, dw_in, dw_out
+    d_gate = np.einsum("kd,kd->k", grad_rows, cache.expert_out)
+    d_rows, dw_in, dw_out = _ffn_bwd(grad_rows * slots.gate[:, None], cache.ffn, slots)
+    return slots.scatter(d_rows), d_gate, dw_in, dw_out
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +452,11 @@ def _expert_buffers_bwd(
 
 @dataclass
 class MoeCache:
-    """Routed-FFN backward state; every rank's slots sit in the one ``buffers``."""
+    """Routed-FFN backward state; every rank's entries sit in the one ``experts``."""
 
     plans: list[DispatchPlan]
     stats: LoadBalanceStats
-    buffers: _ExpertBufferCache
+    experts: _ExpertSliceCache
     all_dropped: np.ndarray
     w_router: np.ndarray
     alpha: float
@@ -398,7 +475,7 @@ def _routed_ffn_fwd(
     """Route every token to its k best experts and gate-scale their outputs.
 
     The k ranks share each expert's capacity budget, rank-major, so one
-    [E, C, d] buffer holds all of them and the experts run once per layer.
+    slot map holds all of them and the experts run once per layer.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -441,7 +518,7 @@ def _routed_ffn_fwd(
             p.gate = p.gate / gate_norm
 
     # Each slot holds one assignment, so one dropout mask covers every rank.
-    y, buffers = _expert_buffers_fwd(
+    y, experts = _expert_slices_fwd(
         x, _Slots.from_plans(plans, router_config.selective_precision),
         params.w_in, params.w_out,
         params.expert_dropout_rate, rng.substream("expert_dropout"), mode,
@@ -449,12 +526,12 @@ def _routed_ffn_fwd(
 
     # Tokens whose every assignment overflowed bypass the layer through the
     # residual path.
-    all_dropped = np.logical_and.reduce([p.dropped for p in plans])
+    all_dropped = plan0.dropped if k == 1 else np.logical_and.reduce([p.dropped for p in plans])
     y[all_dropped] = x[all_dropped]
 
     out = LayerOutput(y, stats.aux_loss, stats, float(all_dropped.mean()))
     cache = MoeCache(
-        plans, stats, buffers, all_dropped, np.asarray(params.w_router),
+        plans, stats, experts, all_dropped, np.asarray(params.w_router),
         router_config.alpha, renormalize,
     )
     return out, cache
@@ -469,26 +546,29 @@ def _routed_ffn_bwd(grad_y: np.ndarray, cache: MoeCache) -> dict[str, np.ndarray
 
     # Tokens that every rank dropped hold no slot, so the experts never read
     # their rows of grad_y; the passthrough sends those rows straight to x.
-    dx, d_gate, dw_in, dw_out = _expert_buffers_bwd(grad_y, cache.buffers)
+    dx, d_gate, dw_in, dw_out = _expert_slices_bwd(grad_y, cache.experts)
     dx[cache.all_dropped] += grad_y[cache.all_dropped]
-    slots = cache.buffers.slots
-    d_gates = np.zeros((num_tokens, len(plans)))
-    d_gates[slots.token, np.repeat(np.arange(len(plans)), np.diff(slots.offsets))] = d_gate
+    slots = cache.experts.slots
 
-    rows = np.arange(num_tokens)[:, None]
-    choices = np.stack([p.expert_index for p in plans], axis=1)
-    if cache.renormalize:
-        # gate_r = raw_r / sum(raw); raw_r = probs[t, choice_r].
-        raw = probs[rows, choices]
-        s = raw.sum(axis=1, keepdims=True)
-        weighted = (d_gates * raw).sum(axis=1, keepdims=True)
-        d_gates = d_gates / s - weighted / (s * s)
     # A slot's gate is probs[t, e] (straight-through the bf16 quantization
     # when selective precision is on). A token's k choices are distinct
     # experts, so the fancy-index += writes every (row, expert) cell at most
     # once.
     d_probs = np.zeros_like(probs)
-    d_probs[rows, choices] += d_gates
+    if len(plans) == 1 and not cache.renormalize:
+        d_probs[slots.token, plans[0].expert_index[slots.token]] += d_gate
+    else:
+        d_gates = np.zeros((num_tokens, len(plans)))
+        d_gates[slots.token, slots.rank] = d_gate
+        rows = np.arange(num_tokens)[:, None]
+        choices = np.stack([p.expert_index for p in plans], axis=1)
+        if cache.renormalize:
+            # gate_r = raw_r / sum(raw); raw_r = probs[t, choice_r].
+            raw = probs[rows, choices]
+            s = raw.sum(axis=1, keepdims=True)
+            weighted = (d_gates * raw).sum(axis=1, keepdims=True)
+            d_gates = d_gates / s - weighted / (s * s)
+        d_probs[rows, choices] += d_gates
 
     if cache.alpha != 0.0:
         # aux = alpha * N * sum_i f_i * P_i, with f piecewise constant and

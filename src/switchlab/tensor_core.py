@@ -40,6 +40,7 @@ __all__ = [
     "quantize_bf16",
     "relu",
     "relu_backward",
+    "dropout_scale",
     "inverted_dropout",
     "GradReport",
     "grad_check",
@@ -296,18 +297,25 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_out * (np.asarray(x) > 0)
 
 
-def inverted_dropout(
-    x: np.ndarray, rate: float, rng: RngStream | None, mode: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout; returns (output, keep-scale) with scale None when inert."""
+def dropout_scale(
+    shape: tuple[int, ...], dtype, rate: float, rng: RngStream | None, mode: str
+) -> np.ndarray | None:
+    """Inverted dropout's keep-scale of ``shape`` (0 or 1 / (1 - rate)); None when inert."""
     if mode != "train" or rate == 0.0:
-        return x, None
+        return None
     if not 0.0 <= rate < 1.0:
         raise InvalidArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None:
         raise InvalidArgumentError("dropout in train mode requires an rng")
-    keep = (rng.uniform(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
-    return x * keep, keep
+    return (rng.uniform(shape) >= rate).astype(dtype) / (1.0 - rate)
+
+
+def inverted_dropout(
+    x: np.ndarray, rate: float, rng: RngStream | None, mode: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout; returns (output, keep-scale) with scale None when inert."""
+    keep = dropout_scale(x.shape, x.dtype, rate, rng, mode)
+    return (x, None) if keep is None else (x * keep, keep)
 
 
 # ---------------------------------------------------------------------------

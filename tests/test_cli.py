@@ -2,7 +2,11 @@
 
 import inspect
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +18,17 @@ from switchlab.trainer import AdamState, TrainConfig, build_model, named_paramet
 
 
 def _occupied_slots(cache):
-    return cache.slots.take(cache.ffn.pre_relu)
+    # The experts' cache holds the kept entries' rows only: one per occupied slot.
+    return cache.ffn.pre_relu
 
 
 # Cases that apply a relu: finite differences are only valid away from its
 # kink. Each names the forward to record and the pre-activations it probes.
 RELU_CASES = {
     "dense_ffn": (cli, "dense_ffn_fwd", lambda cache: cache.pre_relu),
-    "switch_ffn": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
-    "moe_top2_ffn": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
-    "moe_top2_ffn_renormalized": (switch_layer, "_expert_buffers_fwd", _occupied_slots),
+    "switch_ffn": (switch_layer, "_expert_slices_fwd", _occupied_slots),
+    "moe_top2_ffn": (switch_layer, "_expert_slices_fwd", _occupied_slots),
+    "moe_top2_ffn_renormalized": (switch_layer, "_expert_slices_fwd", _occupied_slots),
 }
 # Cases that route: every probe re-routes, so finite differences are only
 # valid where no probe changes an expert choice or a slot.
@@ -58,8 +63,8 @@ def test_gradient_suite(name, monkeypatch):
                 "plan", out[0].expert_index.tobytes(), out[0].position_in_expert.tobytes()
             ))
         # The slot map covers every top-k rank, not only the routed rank 0.
-        record(switch_layer, "_expert_buffers_fwd", lambda args, out: (
-            "slots", args[1].token.tobytes(), args[1].row.tobytes()
+        record(switch_layer, "_expert_slices_fwd", lambda args, out: (
+            "slots", args[1].token.tobytes(), args[1].key.tobytes()
         ))
 
     def guarded_grad_check(f, params, h=PROBE_STEP, **kwargs):
@@ -112,6 +117,15 @@ def test_parallel_check_passes(mesh, capsys):
     for item in mesh:
         argv += ["--set", item]
     assert cli.main(argv) == 0, capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_command():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "switchlab", "parallel-check"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def _header_blob(header: bytes) -> bytes:

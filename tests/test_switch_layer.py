@@ -1,11 +1,13 @@
-"""Expert layers: the index gather/scatter kernel against the one-hot reference.
+"""Expert layers: the sliced index kernel against the padded one-hot reference.
 
-The layers place tokens into expert slots by index. The reference here is
-the one-hot [tokens, experts, capacity] form from ``build_dispatch_combine``,
-gathered and scattered with einsums; swapping it in for the index kernel
-must leave every output and gradient bit-identical. The top-k layer runs
-all its ranks through one shared buffer; its reference runs each rank
-through its own one-hot buffers and sums them.
+The layers gather the kept tokens by index, sorted by expert, and run each
+expert on its own slice of them. The reference here is the one-hot
+[tokens, experts, capacity] form from ``build_dispatch_combine``, gathered
+into zero-padded [E, C, d] buffers and scattered with einsums; swapping it
+in for the sliced kernel must leave every output and gradient
+bit-identical. The top-k layer runs all its ranks through one shared slot
+map; its reference runs each rank through its own one-hot buffers and sums
+them.
 """
 
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -122,34 +124,39 @@ def onehot_buffers_fwd(x, slots, w_in, w_out, expert_dropout, rng, mode):
 
 
 def onehot_buffers_bwd(grad_y, cache):
+    """Products against transposed weights run on contiguous copies, whose
+    rows round alike at any row count; a transposed view's rows round
+    otherwise below 9-37 rows, so at these small capacities it would
+    disagree with the slices in the last place."""
     s = cache.slots
     num_experts = cache.w_in.shape[0]
+    t = lambda w: np.ascontiguousarray(w.T)
     d_expert_out = np.einsum("td,tec->ecd", grad_y, s.combine)
     d_combine = np.einsum("td,ecd->tec", grad_y, cache.expert_out)
     if cache.linear:
         dw_in = np.stack([cache.expert_in[e].T @ d_expert_out[e] for e in range(num_experts)])
-        d_expert_in = np.stack([d_expert_out[e] @ cache.w_in[e].T for e in range(num_experts)])
+        d_expert_in = np.stack([d_expert_out[e] @ t(cache.w_in[e]) for e in range(num_experts)])
         dw_out = None
     else:
         dw_out = np.stack([cache.activated[e].T @ d_expert_out[e] for e in range(num_experts)])
-        d_act = np.stack([d_expert_out[e] @ cache.w_out[e].T for e in range(num_experts)])
+        d_act = np.stack([d_expert_out[e] @ t(cache.w_out[e]) for e in range(num_experts)])
         if cache.drop_scale is not None:
             d_act = d_act * cache.drop_scale
         dh = relu_backward(d_act, cache.pre_relu)
         dw_in = np.stack([cache.expert_in[e].T @ dh[e] for e in range(num_experts)])
-        d_expert_in = np.stack([dh[e] @ cache.w_in[e].T for e in range(num_experts)])
+        d_expert_in = np.stack([dh[e] @ t(cache.w_in[e]) for e in range(num_experts)])
     dx = np.einsum("ecd,tec->td", d_expert_in, s.dispatch.astype(grad_y.dtype))
     return dx, d_combine[s.token, s.expert, s.slot], dw_in, dw_out
 
 
 def index_and_onehot(monkeypatch, run):
-    """``run()`` with the index kernel, then with the one-hot reference."""
+    """``run()`` with the sliced kernel, then with the one-hot reference."""
     got = run()
     with monkeypatch.context() as mp:
         for mod in (sl, parallel_sim):
             mp.setattr(mod, "_Slots", OneHotSlots)
-            mp.setattr(mod, "_expert_buffers_fwd", onehot_buffers_fwd)
-        mp.setattr(sl, "_expert_buffers_bwd", onehot_buffers_bwd)
+            mp.setattr(mod, "_expert_slices_fwd", onehot_buffers_fwd)
+        mp.setattr(sl, "_expert_slices_bwd", onehot_buffers_bwd)
         want = run()
     return got, want
 
@@ -246,11 +253,14 @@ def assert_bitwise(got, want):
         assert np.array_equal(g, w), f"{key}: max diff {np.abs(g - w).max()}"
 
 
-def make_case(num_tokens=96, experts=EXPERTS, expert_form="ffn", dropout=0.0, seed=0):
+def make_case(
+    num_tokens=96, experts=EXPERTS, expert_form="ffn", dropout=0.0, seed=0,
+    d_model=D_MODEL, d_ff=D_FF,
+):
     rng = RngStream(seed)
-    x = rng.substream("x").normal((num_tokens, D_MODEL)).astype(np.float32)
+    x = rng.substream("x").normal((num_tokens, d_model)).astype(np.float32)
     params = init_switch_layer_params(
-        D_MODEL, D_FF, experts, rng.substream("params"), scale=1.0,
+        d_model, d_ff, experts, rng.substream("params"), scale=1.0,
         expert_dropout_rate=dropout, expert_form=expert_form,
     )
     return x, params
@@ -339,8 +349,8 @@ class TestIndexKernelMatchesOneHot:
         _, cache = moe_topk_ffn_fwd(x, params, 2, cfg, RngStream(0), "eval")
         second = cache.plans[1]
         assert not second.dropped.any() and (second.gate == 0).all()
-        slots = cache.buffers.slots
-        assert slots.offsets[2] == slots.offsets[1] == slots.token.size == 32
+        slots = cache.experts.slots
+        assert slots.token.size == 32 and not slots.rank.any()
         assert_shared_buffer_matches(*shared_and_per_rank(x, params, 2, cfg, 0, "eval"))
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -427,10 +437,10 @@ class TestEquivalences:
 
         def counting_kernel(*args):
             calls["kernel"] += 1
-            return sl._expert_buffers_fwd(*args)
+            return sl._expert_slices_fwd(*args)
 
         monkeypatch.setattr(parallel_sim, "route", counting_route)
-        monkeypatch.setattr(parallel_sim, "_expert_buffers_fwd", counting_kernel)
+        monkeypatch.setattr(parallel_sim, "_expert_slices_fwd", counting_kernel)
         mesh = parallel_sim.make_mesh(n, m, strategy, EXPERTS)
         parallel_sim.run_sharded_switch_layer(x, params, mesh, RouterConfig(EXPERTS), RngStream(0))
         assert calls == {"route": [(n, 128 // n, D_MODEL)], "kernel": m}
@@ -450,20 +460,25 @@ class TestEquivalences:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_caches_hold_no_one_hot_tensor(self, k):
-        x, params = make_case(num_tokens=64)
+        x, params = make_case(num_tokens=64, dropout=0.3)
         cfg = RouterConfig(EXPERTS)
         capacity = expert_capacity(64, EXPERTS, cfg.capacity_factor)
+        # A padded [E, C, .] buffer would show by its leading shape, which no
+        # weight shares.
+        assert capacity not in (D_MODEL, D_FF)
         one_hot_size = 64 * EXPERTS * capacity
         _, switch_cache = switch_ffn_fwd(x, params, cfg, RngStream(0), "train")
         _, moe_cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(0), "train")
         for cache in (switch_cache, moe_cache):
-            sizes = list(_array_sizes(cache))
-            assert sizes and one_hot_size not in sizes
-        # Every rank shares one [E, C, d] input buffer.
-        inputs = [
-            b.ffn.x for b in _dataclasses(moe_cache) if isinstance(b, sl._ExpertBufferCache)
-        ]
-        assert [a.shape for a in inputs] == [(EXPERTS, capacity, D_MODEL)]
+            arrays = list(_arrays(cache))
+            assert arrays and one_hot_size not in [a.size for a in arrays]
+            assert not [a.shape for a in arrays if a.shape[:2] == (EXPERTS, capacity)]
+            # Every rank's entries share one set of [K, .] expert rows.
+            (experts,) = [c for c in _dataclasses(cache) if isinstance(c, sl._ExpertSliceCache)]
+            kept, ffn = experts.slots.token.size, experts.ffn
+            assert 0 < kept <= EXPERTS * capacity
+            assert ffn.x.shape == experts.expert_out.shape == (kept, D_MODEL)
+            assert ffn.pre_relu.shape == ffn.activated.shape == ffn.drop_scale.shape == (kept, D_FF)
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("ntlb_stages", [0, 2])
@@ -472,16 +487,24 @@ class TestEquivalences:
         x, params = make_case(num_tokens=512)
         cfg = RouterConfig(EXPERTS, capacity_factor=1.0, ntlb_stages=ntlb_stages)
         _, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(0), "train", renormalize)
-        slots = cache.buffers.slots
+        slots = cache.experts.slots
         capacity = cache.plans[0].capacity
-        assert len(slots.offsets) == k + 1 and slots.offsets[-1] == slots.token.size
-        assert np.unique(slots.row).size == slots.token.size <= EXPERTS * capacity
-        for plan, lo, hi in zip(cache.plans, slots.offsets, slots.offsets[1:]):
-            token = slots.token[lo:hi]
-            assert np.unique(token).size == hi - lo
+        assert slots.num_ranks == k and slots.rank.max() < k
+        # Sorted by expert and then slot, each slot once: the keys ascend.
+        assert (np.diff(slots.key) > 0).all() and slots.key[-1] < EXPERTS * capacity
+        for r, plan in enumerate(cache.plans):
+            mine = slots.rank == r
+            token = slots.token[mine]
+            assert np.unique(token).size == token.size
             slot = plan.position_in_expert[token]
             assert ((slot >= 0) & (slot < capacity)).all()
-            assert np.array_equal(slots.row[lo:hi], plan.expert_index[token] * capacity + slot)
+            assert np.array_equal(slots.key[mine], plan.expert_index[token] * capacity + slot)
+        # Each expert's entries form its slice, and the ranks share slices.
+        expert = slots.key // capacity
+        assert slots.bounds[0] == 0 and slots.bounds[-1] == slots.token.size
+        for e, (lo, hi) in enumerate(zip(slots.bounds, slots.bounds[1:])):
+            assert (expert[lo:hi] == e).all()
+        assert any(np.unique(slots.rank[lo:hi]).size > 1 for lo, hi in zip(slots.bounds, slots.bounds[1:]))
 
 
 def _dataclasses(obj):
@@ -494,15 +517,137 @@ def _dataclasses(obj):
             yield from _dataclasses(getattr(obj, f.name))
 
 
-def _array_sizes(obj):
+def _arrays(obj):
     if isinstance(obj, np.ndarray):
-        yield obj.size
+        yield obj
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            yield from _array_sizes(item)
+            yield from _arrays(item)
     elif is_dataclass(obj):
         for f in fields(obj):
-            yield from _array_sizes(getattr(obj, f.name))
+            yield from _arrays(getattr(obj, f.name))
+
+
+# ---------------------------------------------------------------------------
+# Expert slices at their edges
+# ---------------------------------------------------------------------------
+
+
+# At d_model 16 a one-row product happens to round like a row of a larger
+# one; at 64 and 128 it does not, so the edge cases run there.
+WIDE = dict(d_model=64, d_ff=128)
+
+
+def steered_case(counts, num_tokens=32, seed=0):
+    """Tokens whose first choice is fixed: ``counts[e]`` of them pick expert
+    e and the rest pick the last expert, in shuffled order."""
+    x, params = make_case(num_tokens=num_tokens, dropout=0.3, seed=seed, **WIDE)
+    choice = np.full(num_tokens, EXPERTS - 1)
+    choice[: sum(counts)] = np.repeat(np.arange(len(counts)), counts)
+    choice = np.random.default_rng(seed).permutation(choice)
+    x[np.arange(num_tokens), choice] += 10.0
+    w_router = np.zeros((WIDE["d_model"], EXPERTS), dtype=np.float32)
+    w_router[np.arange(EXPERTS), np.arange(EXPERTS)] = 1.0
+    return x, replace(params, w_router=w_router), choice
+
+
+class TestExpertSlices:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("selective_precision", [False, True])
+    def test_slices_of_zero_one_and_two_rows(self, monkeypatch, mode, selective_precision):
+        # Experts 0, 1 and 2 keep 0, 1 and 2 tokens at C = 8; the last one
+        # overflows.
+        x, params, choice = steered_case((0, 1, 2))
+        cfg = RouterConfig(EXPERTS, capacity_factor=1.0, selective_precision=selective_precision)
+
+        def run():
+            out, cache = switch_ffn_fwd(x, params, cfg, RngStream(5), mode)
+            return {"y": out.y, **switch_ffn_bwd(grad_of(out.y), cache)}
+
+        _, cache = switch_ffn_fwd(x, params, cfg, RngStream(5), mode)
+        assert np.array_equal(cache.plans[0].expert_index, choice)
+        assert cache.plans[0].capacity == 8
+        assert np.diff(cache.experts.slots.bounds).tolist() == [0, 1, 2, 8]
+        assert_bitwise(*index_and_onehot(monkeypatch, run))
+
+    def test_top2_ranks_share_the_short_slices(self):
+        x, params, _ = steered_case((0, 1, 2))
+        cfg = RouterConfig(EXPERTS, capacity_factor=1.0)
+        _, cache = moe_topk_ffn_fwd(x, params, 2, cfg, RngStream(5), "train")
+        slots = cache.experts.slots
+        bounds = slots.bounds
+        assert bounds[4] - bounds[3] == 8
+        assert any(np.unique(slots.rank[lo:hi]).size == 2 for lo, hi in zip(bounds, bounds[1:]))
+        assert_shared_buffer_matches(*shared_and_per_rank(x, params, 2, cfg, 5, "train"))
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_capacity_one_runs_each_entry_alone(self, monkeypatch, mode):
+        x, params = make_case(dropout=0.3, **WIDE)
+        cfg = RouterConfig(EXPERTS, capacity_factor=0.01)
+
+        def run():
+            out, cache = switch_ffn_fwd(x, params, cfg, RngStream(3), mode)
+            return {"y": out.y, **switch_ffn_bwd(grad_of(out.y), cache)}
+
+        assert_bitwise(*index_and_onehot(monkeypatch, run))
+
+    def test_grouped_slices_sort_by_expert_then_group_then_slot(self):
+        x, params = make_case(num_tokens=128)
+        groups = 4
+        plan, _ = route(x.reshape(groups, 32, D_MODEL), params.w_router, RouterConfig(EXPERTS),
+                        RngStream(0), "eval")
+        slots = sl._Slots.from_plans([plan], False)
+        capacity = plan.capacity
+        assert slots.grid == (groups, EXPERTS, capacity)
+        assert (np.diff(slots.key) > 0).all()
+        expert, rest = np.divmod(slots.key, groups * capacity)
+        group, slot = np.divmod(rest, capacity)
+        assert np.array_equal(expert, plan.expert_index[slots.token])
+        assert np.array_equal(group, slots.token // 32)
+        assert np.array_equal(slot, plan.position_in_expert[slots.token])
+        # Expert e's slice spans every group.
+        assert np.array_equal(np.diff(slots.bounds), np.bincount(expert, minlength=EXPERTS))
+        assert all(np.unique(group[lo:hi]).size == groups
+                   for lo, hi in zip(slots.bounds, slots.bounds[1:]))
+
+    def test_grouped_dropout_draws_the_padded_mask(self):
+        # No caller trains on grouped tokens, but the kernel takes them.
+        x, params = make_case(num_tokens=128, **WIDE)
+        plan, _ = route(x.reshape(4, 32, WIDE["d_model"]), params.w_router, RouterConfig(EXPERTS),
+                        RngStream(0), "eval")
+        got, want = (
+            kernel(x, slots_from_plans([plan], False), params.w_in, params.w_out, 0.3,
+                   RngStream(1), "train")[0]
+            for kernel, slots_from_plans in (
+                (sl._expert_slices_fwd, sl._Slots.from_plans),
+                (onehot_buffers_fwd, OneHotSlots.from_plans),
+            )
+        )
+        assert_bitwise({"y": got}, {"y": want})
+
+    @pytest.mark.parametrize("strategy, n", [("data", 2), ("expert+data", 4)])
+    def test_capacity_one_mesh_is_bitwise_per_row_switch_ffn(self, strategy, n):
+        # Every padded product had one row; the slices of a grouped plan
+        # would stack up to G of them, so each entry runs alone.
+        x, params = make_case(num_tokens=128, **WIDE)
+        cfg = RouterConfig(EXPERTS, capacity_factor=0.01)
+        mesh = parallel_sim.make_mesh(n, 1, strategy, EXPERTS)
+        out, _ = parallel_sim.run_sharded_switch_layer(x, params, mesh, cfg, RngStream(0))
+        rows = [switch_ffn(xi, params, cfg, RngStream(0), "eval").y for xi in np.split(x, n)]
+        assert np.array_equal(out.y, np.concatenate(rows))
+
+    def test_switch_lm_layer_shape(self, monkeypatch):
+        # T = 1024, d_model 64, d_ff 128, 8 experts, capacity factor 1.25.
+        rng = RngStream(11)
+        x = rng.substream("x").normal((1024, 64)).astype(np.float32)
+        params = init_switch_layer_params(64, 128, 8, rng.substream("params"))
+        cfg = RouterConfig(8, capacity_factor=1.25)
+
+        def run():
+            out, cache = switch_ffn_fwd(x, params, cfg, RngStream(5), "train")
+            return {"y": out.y, **switch_ffn_bwd(grad_of(out.y), cache)}
+
+        assert_bitwise(*index_and_onehot(monkeypatch, run))
 
 
 # ---------------------------------------------------------------------------
