@@ -325,9 +325,7 @@ class _Slots:
                 token, gate[live], p.expert_index[token], p.position_in_expert[token],
                 np.full(token.size, r),
             ))
-        token, gate, expert, slot, rank = (
-            per_rank[0] if len(plans) == 1 else [np.concatenate(c) for c in zip(*per_rank)]
-        )
+        token, gate, expert, slot, rank = [np.concatenate(c) for c in zip(*per_rank)]
         plan = plans[0]
         groups, experts, capacity = plan.num_groups, plan.num_experts, plan.capacity
         group = token // (plan.num_tokens // groups)
