@@ -72,6 +72,9 @@ CHECKPOINT_MAGIC = b"SWCHKPT"
 CHECKPOINT_VERSION = 1
 _HEADER_KEYS = {"step", "config", "tensors"}
 _RECORD_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
+# A retired key at the one value that leaves behaviour unchanged; older
+# builds wrote this line into every checkpoint's config text.
+_RETIRED_CONFIG_LINE = "router.jitter_on_logits=False"
 
 
 class UnsupportedVersionError(RuntimeError):
@@ -309,7 +312,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     """Read and validate a checkpoint; truncation errors carry the byte offset.
 
     Files written by older builds also carry a header ``"rng"`` field and a
-    per-record ``"precision_tag"``; both are ignored.
+    per-record ``"precision_tag"``; both are ignored. Their config text also
+    holds the retired line ``router.jitter_on_logits=False``, which
+    ``restore_model`` drops; any other value of that key is an unknown key.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -386,7 +391,10 @@ def restore_model(ckpt: Checkpoint) -> tuple[ToyModel, AdamState, ExperimentConf
     The model starts as an all-zero skeleton, with no random draw, and every
     parameter must come from the checkpoint.
     """
-    config = parse_config(overrides=[ln for ln in ckpt.config_text.splitlines() if ln.strip()])
+    config = parse_config(overrides=[
+        ln for ln in ckpt.config_text.splitlines()
+        if ln.strip() and ln.strip() != _RETIRED_CONFIG_LINE
+    ])
     model = build_model(config.train, config.router, None)
     params = named_parameters(model)
     opt = AdamState(step=ckpt.step)
@@ -546,7 +554,7 @@ def _gradient_checks():
 
         return grad_check(f, [x, params.w_router, params.w_in, params.w_out])
 
-    def topk_check(renormalize: bool):
+    def topk_check():
         # Four slots per expert for 8 tokens: half the second choices overflow.
         # Drawn, as for switch_check, away from the relu kink.
         cfg = RouterConfig(num_experts=3, capacity_factor=1.5, alpha=0.01)
@@ -555,7 +563,7 @@ def _gradient_checks():
 
         def f(p):
             sp = SwitchLayerParams(p[1], p[2], p[3])
-            out, cache = moe_topk_ffn_fwd(p[0], sp, 2, cfg, RngStream(0), "eval", renormalize)
+            out, cache = moe_topk_ffn_fwd(p[0], sp, 2, cfg, RngStream(0), "eval")
             loss = float((out.y**2).sum() + out.aux_loss)
             g = moe_topk_ffn_bwd(2.0 * out.y, cache)
             return loss, [g["x"], g["w_router"], g["w_in"], g["w_out"]]
@@ -613,8 +621,7 @@ def _gradient_checks():
         ("dense_ffn", dense_check),
         ("router_p_path", router_check),
         ("switch_ffn", switch_check),
-        ("moe_top2_ffn", lambda: topk_check(False)),
-        ("moe_top2_ffn_renormalized", lambda: topk_check(True)),
+        ("moe_top2_ffn", topk_check),
         ("switch_attention", lambda: attention_check(True)),
         ("dense_attention_2heads", lambda: attention_check(False)),
         ("distill_loss", distill_check),

@@ -63,13 +63,12 @@ class RouterConfig:
     exploration strategy; evaluation always reduces to plain argmax on
     unperturbed inputs. ``dropout_rate`` is the input_dropout policy's drop
     rate. ``jitter_eps`` is the input_jitter policy's noise half-width: the
-    router's inputs are scaled by uniform draws in [1 - eps, 1 + eps], or,
-    with ``jitter_on_logits``, those draws are added to the logits instead (a
-    variant kept for comparison). ``ntlb_stages`` enables no-token-left-behind
-    rerouting (0 = plain top-1 routing). ``selective_precision`` emulates
-    bfloat16 transport: router inputs are bf16-quantized on entry, the
-    softmax runs at full float32, and the gates that weight the expert
-    outputs are re-quantized to bfloat16 on the way out.
+    router's inputs are scaled by uniform draws in [1 - eps, 1 + eps].
+    ``ntlb_stages`` enables no-token-left-behind rerouting (0 = plain top-1
+    routing). ``selective_precision`` emulates bfloat16 transport: router
+    inputs are bf16-quantized on entry, the softmax runs at full float32,
+    and the gates that weight the expert outputs are re-quantized to
+    bfloat16 on the way out.
     """
 
     num_experts: int
@@ -78,7 +77,6 @@ class RouterConfig:
     policy: str = "argmax"
     dropout_rate: float = 0.1
     jitter_eps: float = 0.01
-    jitter_on_logits: bool = False
     ntlb_stages: int = 0
     selective_precision: bool = False
 
@@ -197,8 +195,6 @@ def apply_policy(
     if mode == "eval" or config.policy in ("argmax", "sample_softmax"):
         return x, None
     if config.policy == "input_jitter":
-        if config.jitter_on_logits:
-            return x, None  # noise added to logits later instead
         eps = config.jitter_eps
         if eps == 0.0:
             return x, None
@@ -262,14 +258,6 @@ def route(
         # One 2-D product per group: BLAS may round a row differently in a
         # product with another row count.
         logits = (router_in.reshape(x.shape) @ w).reshape(num_tokens, num_experts)
-    if (
-        mode == "train"
-        and config.policy == "input_jitter"
-        and config.jitter_on_logits
-        and config.jitter_eps > 0.0
-    ):
-        noise = rng.uniform(logits.shape, 1.0 - config.jitter_eps, 1.0 + config.jitter_eps)
-        logits = logits + noise.astype(logits.dtype)
 
     # Finite inputs can still overflow to non-finite logits.
     _check_finite_rows(logits, "logits")

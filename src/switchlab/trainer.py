@@ -144,6 +144,13 @@ class TrainConfig:
             raise InvalidArgumentError(
                 f"sentinel_id {self.sentinel_id} is a corpus token id (below {corpus_ids})"
             )
+        for name in ("seq_len", "batch_tokens", "corpus_size", "num_heads"):
+            if getattr(self, name) < 1:
+                raise InvalidArgumentError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 <= self.learning_rate < float("inf"):  # also false for nan
+            raise InvalidArgumentError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.batch_tokens % self.seq_len != 0:
             raise InvalidArgumentError(
                 f"batch_tokens {self.batch_tokens} not a multiple of seq_len {self.seq_len}"

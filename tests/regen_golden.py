@@ -121,7 +121,6 @@ def _params(model: trainer.ToyModel) -> dict:
 def compute() -> dict[str, dict]:
     """Every entry, keyed ``<config>/<output>`` or ``mesh/<strategy>``."""
     entries = {}
-    trained = {}
     for name, (train_fields, router_fields) in CONFIGS.items():
         tc = trainer.TrainConfig(seed=SEED, steps=TRAIN_STEPS, **SHAPE, **train_fields)
         rc = RouterConfig(NUM_EXPERTS, capacity_factor=CAPACITY_FACTOR, **router_fields)
@@ -134,15 +133,16 @@ def compute() -> dict[str, dict]:
         student, _, rows = trainer.distill_train(model, replace(tc, steps=DISTILL_STEPS), rc)
         entries[f"{name}/distill"] = _rows(rows)
         entries[f"{name}/student"] = _params(student)
-        trained[name] = (model, rc)
+        if name == "switch":
+            params, switch_router = model.blocks[0].ffn_switch, rc
 
-    model, rc = trained["switch"]
-    params = model.blocks[0].ffn_switch
     x = RngStream(SEED).substream("golden/shard_input").normal((SHARD_TOKENS, SHAPE["d_model"]))
     x = x.astype(np.float32)
     for n, m, strategy in MESHES:
         mesh = parallel_sim.make_mesh(n, m, strategy, NUM_EXPERTS)
-        out, _ = parallel_sim.run_sharded_switch_layer(x, params, mesh, rc, RngStream(SEED))
+        out, _ = parallel_sim.run_sharded_switch_layer(
+            x, params, mesh, switch_router, RngStream(SEED)
+        )
         entries[f"mesh/{strategy}"] = _entry(
             [out.y.tobytes()], [_norm(out.y), out.aux_loss, out.dropped_fraction]
         )

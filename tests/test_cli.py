@@ -28,13 +28,11 @@ RELU_CASES = {
     "dense_ffn": (cli, "dense_ffn_fwd", lambda cache: cache.pre_relu),
     "switch_ffn": (switch_layer, "_expert_slices_fwd", _occupied_slots),
     "moe_top2_ffn": (switch_layer, "_expert_slices_fwd", _occupied_slots),
-    "moe_top2_ffn_renormalized": (switch_layer, "_expert_slices_fwd", _occupied_slots),
 }
 # Cases that route: every probe re-routes, so finite differences are only
 # valid where no probe changes an expert choice or a slot.
 ROUTED_CASES = {
-    "router_p_path", "switch_ffn", "moe_top2_ffn", "moe_top2_ffn_renormalized",
-    "switch_attention",
+    "router_p_path", "switch_ffn", "moe_top2_ffn", "switch_attention",
 }
 PROBE_STEP = inspect.signature(tensor_core.grad_check).parameters["h"].default
 
@@ -96,7 +94,7 @@ def test_gradient_suite(name, monkeypatch):
 def test_grad_check_command_passes_every_case(capsys):
     assert cli.main(["grad-check"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("[PASS]") for line in lines) == len(cli._gradient_checks()) == 8
+    assert sum(line.startswith("[PASS]") for line in lines) == len(cli._gradient_checks()) == 7
     assert not any("[FAIL]" in line for line in lines)
 
 
@@ -477,6 +475,48 @@ def test_train_command_rejects_a_sentinel_the_corpus_can_emit(tmp_path, capsys):
     assert err.startswith("error:") and "sentinel_id 5" in err
     assert "Traceback" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "train.seq_len=0", "train.batch_tokens=0", "train.corpus_size=0", "train.num_heads=0",
+        "train.learning_rate=nan", "router.jitter_on_logits=true",
+    ],
+)
+def test_train_command_rejects_bad_setting(tmp_path, setting, capsys):
+    argv = ["train", "--seed", "0", "--outdir", str(tmp_path), "--set", setting]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and setting.split("=")[0].split(".")[1] in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value, status", [("False", 0), ("True", 2)])
+def test_resume_drops_only_the_retired_jitter_on_logits_false_line(
+    tmp_path, value, status, capsys
+):
+    # Older builds wrote the key, which no longer exists, into every
+    # checkpoint's config text, between jitter_eps and ntlb_stages.
+    path = _saved_checkpoint(tmp_path)
+
+    def edit(header):
+        header["config"] = header["config"].replace(
+            "router.ntlb_stages=", f"router.jitter_on_logits={value}\nrouter.ntlb_stages="
+        )
+
+    _edit_header(path, edit)
+    assert f"router.jitter_on_logits={value}\n" in cli.load_checkpoint(str(path)).config_text
+    out = tmp_path / "out"
+    argv = ["train", "--seed", "0", "--outdir", str(out), "--set", "train.steps=1",
+            "--resume", str(path)]
+    assert cli.main(argv) == status
+    if status == 0:
+        assert (out / "run" / "final.ckpt").is_file()
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jitter_on_logits" in err
 
 
 def test_sweep_writes_one_run_per_value(tmp_path, capsys):

@@ -165,10 +165,10 @@ def per_rank_topk(x, params, cfg, cache, grad_y, rng, mode):
     """The top-k layer with every rank in its own one-hot [E, C, ·] buffers.
 
     Outputs and gradients are summed rank by rank; the expert weight
-    gradients accumulate in the weights' dtype. Routing (plans, gate
-    normalization, balance stats) is read from the layer's ``cache``. Every
-    rank applies the layer's one expert-dropout draw, which is what a shared
-    buffer draws, since each of its slots holds one assignment.
+    gradients accumulate in the weights' dtype. Routing (plans and balance
+    stats) is read from the layer's ``cache``. Every rank applies the
+    layer's one expert-dropout draw, which is what a shared buffer draws,
+    since each of its slots holds one assignment.
     """
     plans = cache.plans
     ranks = [
@@ -200,13 +200,8 @@ def per_rank_topk(x, params, cfg, cache, grad_y, rng, mode):
 
     rows = np.arange(num_tokens)
     d_probs = np.zeros_like(plans[0].router_probs)
-    raw = np.stack([plans[0].router_probs[rows, p.expert_index] for p in plans], axis=1)
     for r, p in enumerate(plans):
-        d_gate = d_gates[:, r]
-        if cache.renormalize:
-            s = raw.sum(axis=1)
-            d_gate = d_gate / s - (d_gates * raw).sum(axis=1) / (s * s)
-        d_probs[rows, p.expert_index] += d_gate
+        d_probs[rows, p.expert_index] += d_gates[:, r]
     dx[cache.all_dropped] += grad_y[cache.all_dropped]
     d_probs += cfg.alpha * n * cache.stats.f / num_tokens
     d_logits = softmax_backward(d_probs, plans[0].router_probs)
@@ -219,9 +214,9 @@ def per_rank_topk(x, params, cfg, cache, grad_y, rng, mode):
     }
 
 
-def shared_and_per_rank(x, params, k, cfg, seed, mode, renormalize=False):
+def shared_and_per_rank(x, params, k, cfg, seed, mode):
     """The top-k layer and its per-rank reference, from one forward pass."""
-    out, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(seed), mode, renormalize)
+    out, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(seed), mode)
     grad_y = grad_of(out.y)
     got = {"y": out.y, **moe_topk_ffn_bwd(grad_y, cache)}
     return got, per_rank_topk(x, params, cfg, cache, grad_y, RngStream(seed), mode)
@@ -293,15 +288,15 @@ class TestIndexKernelMatchesOneHot:
         assert_bitwise(*index_and_onehot(monkeypatch, run))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("linear", [False, True])
     @pytest.mark.parametrize("selective_precision", [False, True])
-    def test_moe_topk_ffn(self, k, renormalize, selective_precision):
-        x, params = make_case(dropout=0.3)
+    def test_moe_topk_ffn(self, k, linear, selective_precision):
+        x, params = make_case(dropout=0.3, expert_form="linear" if linear else "ffn")
         cfg = RouterConfig(
             EXPERTS, capacity_factor=1.0, policy="input_jitter",
             selective_precision=selective_precision,
         )
-        got, want = shared_and_per_rank(x, params, k, cfg, 5, "train", renormalize)
+        got, want = shared_and_per_rank(x, params, k, cfg, 5, "train")
         assert_shared_buffer_matches(got, want)
 
     @pytest.mark.parametrize("selective_precision", [False, True])
@@ -482,11 +477,14 @@ class TestEquivalences:
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("ntlb_stages", [0, 2])
-    @pytest.mark.parametrize("renormalize", [False, True])
-    def test_merged_slot_map_holds_each_slot_once(self, k, ntlb_stages, renormalize):
+    @pytest.mark.parametrize("selective_precision", [False, True])
+    def test_merged_slot_map_holds_each_slot_once(self, k, ntlb_stages, selective_precision):
         x, params = make_case(num_tokens=512)
-        cfg = RouterConfig(EXPERTS, capacity_factor=1.0, ntlb_stages=ntlb_stages)
-        _, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(0), "train", renormalize)
+        cfg = RouterConfig(
+            EXPERTS, capacity_factor=1.0, ntlb_stages=ntlb_stages,
+            selective_precision=selective_precision,
+        )
+        _, cache = moe_topk_ffn_fwd(x, params, k, cfg, RngStream(0), "train")
         slots = cache.experts.slots
         capacity = cache.plans[0].capacity
         assert slots.num_ranks == k and slots.rank.max() < k
@@ -499,6 +497,7 @@ class TestEquivalences:
             slot = plan.position_in_expert[token]
             assert ((slot >= 0) & (slot < capacity)).all()
             assert np.array_equal(slots.key[mine], plan.expert_index[token] * capacity + slot)
+            assert np.array_equal(slots.expert[mine], plan.expert_index[token])
         # Each expert's entries form its slice, and the ranks share slices.
         expert = slots.key // capacity
         assert slots.bounds[0] == 0 and slots.bounds[-1] == slots.token.size
@@ -603,6 +602,7 @@ class TestExpertSlices:
         expert, rest = np.divmod(slots.key, groups * capacity)
         group, slot = np.divmod(rest, capacity)
         assert np.array_equal(expert, plan.expert_index[slots.token])
+        assert np.array_equal(slots.expert, expert)
         assert np.array_equal(group, slots.token // 32)
         assert np.array_equal(slot, plan.position_in_expert[slots.token])
         # Expert e's slice spans every group.
