@@ -542,7 +542,7 @@ def _gradient_checks():
         cfg = RouterConfig(num_experts=2, capacity_factor=2.0, alpha=0.01)
         # Drawn so that every occupied slot's pre-activation is at least
         # 10 h from the relu kink.
-        x = rng.substream("switch.x12").normal((6, 4)) * 0.5
+        x = rng.substream("switch.x18").normal((6, 4)) * 0.5
         params = init_switch_layer_params(4, 8, 2, rng.substream("switch.params"), scale=0.5)
 
         def f(p):
@@ -558,7 +558,7 @@ def _gradient_checks():
         # Four slots per expert for 8 tokens: half the second choices overflow.
         # Drawn, as for switch_check, away from the relu kink.
         cfg = RouterConfig(num_experts=3, capacity_factor=1.5, alpha=0.01)
-        x = rng.substream("top2.x12").normal((8, 4)) * 0.5
+        x = rng.substream("top2.x13").normal((8, 4)) * 0.5
         params = init_switch_layer_params(4, 6, 3, rng.substream("top2.params"), scale=0.5)
 
         def f(p):

@@ -83,12 +83,12 @@ class RouterConfig:
     def __post_init__(self) -> None:
         if self.num_experts < 1:
             raise InvalidArgumentError(f"num_experts must be >= 1, got {self.num_experts}")
-        if self.capacity_factor < 0:
+        if not 0.0 <= self.capacity_factor < math.inf:  # also false for nan
             raise InvalidArgumentError(
-                f"capacity_factor must be >= 0, got {self.capacity_factor}"
+                f"capacity_factor must be finite and >= 0, got {self.capacity_factor}"
             )
-        if self.alpha < 0:
-            raise InvalidArgumentError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise InvalidArgumentError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.policy not in POLICIES:
             raise InvalidArgumentError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}"
@@ -198,7 +198,7 @@ def apply_policy(
         eps = config.jitter_eps
         if eps == 0.0:
             return x, None
-        noise = rng.uniform(x.shape, 1.0 - eps, 1.0 + eps).astype(x.dtype)
+        noise = rng.uniform(x.shape, 1.0 - eps, 1.0 + eps, dtype=np.float32)
         return x * noise, noise
     # input_dropout
     return inverted_dropout(x, config.dropout_rate, rng, mode)

@@ -15,12 +15,20 @@ is cast to float32 once it is summed. Every op is dtype-preserving, so the
 gradient checker runs the same code in float64. There is no autodiff tape:
 each layer writes its backward pass by hand, so the numerics stay
 auditable.
+
+Random draws that feed the model are float32 as well, each one draw at that
+precision: the weight init, the dropout keep-masks, the router's input
+jitter and the training mask's uniforms. ``RngStream.normal`` and
+``uniform`` default to float64, and the draws that build data keep it, so
+their streams do not move: the synthetic corpus, ``RngStream.categorical``
+and the gradient checker's seeded inputs.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -144,22 +152,31 @@ class RngStream:
         }
         return generator
 
-    def normal(self, shape: Sequence[int] | int = ()) -> np.ndarray:
-        return self._generator().standard_normal(shape)
+    def normal(self, shape: Sequence[int] | int = (), dtype=np.float64) -> np.ndarray:
+        return self._generator().standard_normal(shape, dtype=dtype)
 
     def uniform(
-        self, shape: Sequence[int] | int = (), low: float = 0.0, high: float = 1.0
+        self,
+        shape: Sequence[int] | int = (),
+        low: float = 0.0,
+        high: float = 1.0,
+        dtype=np.float64,
     ) -> np.ndarray:
-        return self._generator().uniform(low, high, shape)
+        """Uniform on [low, high). float64 keeps ``Generator.uniform``'s
+        stream; float32 scales one ``Generator.random`` draw in place."""
+        if np.dtype(dtype) == np.float64:
+            return self._generator().uniform(low, high, shape)
+        u = self._generator().random(shape, dtype=dtype)
+        if (low, high) != (0.0, 1.0):
+            u *= high - low
+            u += low
+        return u
 
     def integers(self, low: int, high: int, shape: Sequence[int] | int = ()) -> np.ndarray:
         return self._generator().integers(low, high, size=shape)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._generator().permutation(n)
-
-    def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
-        return self._generator().choice(n, size=k, replace=False)
 
     def categorical(self, probs: np.ndarray) -> np.ndarray:
         """Sample one index per row of a [rows, k] probability matrix."""
@@ -180,20 +197,24 @@ def trunc_normal_init(
     """Draw from normal(0, sigma = sqrt(scale / fan_in)) truncated to [-2sigma, 2sigma].
 
     Out-of-range draws are resampled (not clipped), so the result is an exact
-    sample from the truncated density. The default scale for all model
+    sample from the truncated density. One float32 draw fills the tensor;
+    each later draw replaces only the entries still out of range, in flat
+    index order, until none is left. The default scale for all model
     weights in this package is 0.1, a tenth of the usual transformer scale.
     """
     if scale <= 0:
         raise InvalidArgumentError(f"scale must be positive, got {scale}")
     if fan_in < 1:
         raise InvalidArgumentError(f"fan_in must be >= 1, got {fan_in}")
-    sigma = np.sqrt(scale / fan_in)
-    z = rng.normal(shape)
-    out_of_range = np.abs(z) > 2.0
-    while out_of_range.any():
-        z = np.where(out_of_range, rng.normal(shape), z)
-        out_of_range = np.abs(z) > 2.0
-    return (sigma * z).astype(np.float32)
+    sigma = math.sqrt(scale / fan_in)
+    z = rng.normal(shape, dtype=np.float32)
+    flat = z.reshape(-1)
+    redraw = np.flatnonzero(np.abs(flat) > 2.0)
+    while redraw.size:
+        flat[redraw] = rng.normal(redraw.size, dtype=np.float32)
+        redraw = redraw[np.abs(flat[redraw]) > 2.0]
+    z *= sigma
+    return z
 
 
 def init_weight(
@@ -306,7 +327,7 @@ def dropout_scale(
         raise InvalidArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None:
         raise InvalidArgumentError("dropout in train mode requires an rng")
-    return (rng.uniform(shape) >= rate).astype(dtype) / (1.0 - rate)
+    return (rng.uniform(shape, dtype=np.float32) >= rate).astype(dtype) / (1.0 - rate)
 
 
 def inverted_dropout(

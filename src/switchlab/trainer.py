@@ -59,7 +59,6 @@ __all__ = [
     "AdamState",
     "gen_synthetic_corpus",
     "sample_sequences",
-    "mask_tokens",
     "build_model",
     "named_parameters",
     "model_fwd",
@@ -275,33 +274,14 @@ def _walk_chains(
     return sequences, cluster_ids
 
 
-def mask_tokens(
-    seq: np.ndarray, rate: float, sentinel: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replace floor(rate * len) positions (at least one) with the sentinel.
-
-    Returns (masked sequence, masked positions in ascending order, original
-    ids at those positions).
-    """
-    seq = np.asarray(seq)
-    if seq.ndim != 1 or seq.size == 0:
-        raise InvalidArgumentError(f"mask_tokens requires a nonempty 1-D sequence, got {seq.shape}")
-    if not 0.0 < rate < 1.0:
-        raise InvalidArgumentError(f"mask rate must be in (0, 1), got {rate}")
-    n_mask = max(1, int(rate * seq.size))
-    positions = np.sort(rng.choice_without_replacement(seq.size, n_mask))
-    masked = seq.copy()
-    masked[positions] = sentinel
-    return masked, positions, seq[positions]
-
-
 @dataclass
 class Batch:
     """One step's masked inputs and targets.
 
     Each (target_rows, target_cols) pair names a distinct position, because
-    ``mask_tokens`` samples positions without replacement; ``model_bwd``
-    relies on this to write rather than accumulate per-target rows.
+    ``_masked_batch`` takes each row's positions from one permutation of its
+    columns; ``model_bwd`` relies on this to write rather than accumulate
+    per-target rows. Targets run row by row, columns ascending.
     """
 
     input_ids: np.ndarray  # [S, L] with sentinels in place
@@ -329,16 +309,17 @@ def batch_for_step(
 
 
 def _masked_batch(seqs: np.ndarray, config: TrainConfig, mask_rng: RngStream) -> Batch:
-    """Mask each sequence in turn with draws from ``mask_rng``."""
-    inputs = np.empty_like(seqs)
-    t_rows, t_cols, t_ids = [], [], []
-    for i, seq in enumerate(seqs):
-        masked, pos, ids = mask_tokens(seq, config.mask_rate, config.sentinel_id, mask_rng)
-        inputs[i] = masked
-        t_rows.append(np.full(pos.size, i))
-        t_cols.append(pos)
-        t_ids.append(ids)
-    return Batch(inputs, np.concatenate(t_rows), np.concatenate(t_cols), np.concatenate(t_ids))
+    """Replace floor(mask_rate * L) positions (at least one) of each of the S
+    rows of ``seqs`` with the sentinel, from one ``[S, L]`` draw of
+    ``mask_rng``: each row masks the columns of its smallest uniforms."""
+    num_seqs, seq_len = seqs.shape
+    n_mask = max(1, int(config.mask_rate * seq_len))
+    u = mask_rng.uniform((num_seqs, seq_len), dtype=np.float32)
+    cols = np.sort(np.argsort(u, axis=1, kind="stable")[:, :n_mask], axis=1).reshape(-1)
+    rows = np.repeat(np.arange(num_seqs), n_mask)
+    inputs = seqs.copy()
+    inputs[rows, cols] = config.sentinel_id
+    return Batch(inputs, rows, cols, seqs[rows, cols])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ Rewrite the file only when a change alters the metric stream on purpose:
 
     PYTHONPATH=src python tests/regen_golden.py
 
+Before it rewrites the file, the script prints one line per entry: whether
+the digest changed, and the largest relative change among its values.
+
 Four configs run at the benchmark's model shape: ``train`` for six steps,
 ``evaluate`` on the trained model, and ``distill_train`` for two steps from
 it. The trained switch model's first switch FFN then runs through
@@ -149,8 +152,48 @@ def compute() -> dict[str, dict]:
     return entries
 
 
+# Metric rows per entry kind; each row's second value is its cross-entropy.
+ROWS_PER_ENTRY = {"train": TRAIN_STEPS, "evaluate": 1, "distill": DISTILL_STEPS}
+
+
+def _final_ce(kind: str, values: list[float]) -> float:
+    row_len = len(values) // ROWS_PER_ENTRY[kind]
+    return values[-row_len + 1]
+
+
+def shift_report(old: dict[str, dict], new: dict[str, dict]) -> list[str]:
+    """One line per entry: whether its digest changed, and the largest
+    relative change among its values (|new - old| / max(|old|, 1e-12)).
+    Metric-row entries add their last row's cross-entropy shift in nats."""
+    lines = []
+    for name, entry in new.items():
+        before = old.get(name)
+        if before is None:
+            lines.append(f"{name}: new entry")
+            continue
+        status = "same" if before["sha256"] == entry["sha256"] else "changed"
+        a, b = np.asarray(before["values"]), np.asarray(entry["values"])
+        if a.shape != b.shape:
+            lines.append(f"{name}: digest {status}, {a.size} -> {b.size} values")
+            continue
+        rel = np.abs(b - a) / np.maximum(np.abs(a), 1e-12)
+        line = f"{name}: digest {status}, max rel change {rel.max(initial=0.0):.3e}"
+        kind = name.rsplit("/", 1)[-1]
+        if kind in ROWS_PER_ENTRY:
+            ce_old, ce_new = _final_ce(kind, before["values"]), _final_ce(kind, entry["values"])
+            line += f", final ce {ce_old:.6f} -> {ce_new:.6f} ({ce_new - ce_old:+.6f} nats)"
+        lines.append(line)
+    lines += [f"{name}: entry removed" for name in old.keys() - new.keys()]
+    return lines
+
+
 def main() -> None:
     golden = {"platform": platform(), "entries": compute()}
+    if GOLDEN_PATH.exists():
+        old = json.loads(GOLDEN_PATH.read_text())
+        if old["platform"] != golden["platform"]:
+            print(f"platform changed: {old['platform']} -> {golden['platform']}")
+        print("\n".join(shift_report(old["entries"], golden["entries"])))
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"wrote {len(golden['entries'])} entries to {GOLDEN_PATH}")
 

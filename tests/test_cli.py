@@ -493,6 +493,25 @@ def test_train_command_rejects_bad_setting(tmp_path, setting, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "router.capacity_factor=nan", "router.capacity_factor=inf",
+        "router.alpha=nan", "router.alpha=inf",
+    ],
+)
+def test_train_command_rejects_non_finite_router_setting(tmp_path, setting, capsys):
+    argv = [
+        "train", "--seed", "0", "--outdir", str(tmp_path),
+        "--set", "train.ffn_kind=switch", "--set", setting,
+    ]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and setting.split("=")[0].split(".")[1] in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("value, status", [("False", 0), ("True", 2)])
 def test_resume_drops_only_the_retired_jitter_on_logits_false_line(
     tmp_path, value, status, capsys

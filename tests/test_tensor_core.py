@@ -91,9 +91,17 @@ class TestRngStream:
         draws = [
             (lambda s: s.normal((3, 5)), lambda g: g.standard_normal((3, 5))),
             (lambda s: s.uniform(7, -2.0, 3.0), lambda g: g.uniform(-2.0, 3.0, 7)),
+            (
+                lambda s: s.normal((3, 5), dtype=np.float32),
+                lambda g: g.standard_normal((3, 5), dtype=np.float32),
+            ),
+            (lambda s: s.uniform(7, dtype=np.float32), lambda g: g.random(7, dtype=np.float32)),
+            (
+                lambda s: s.uniform(7, -2.0, 3.0, dtype=np.float32),
+                lambda g: g.random(7, dtype=np.float32) * np.float32(5.0) - np.float32(2.0),
+            ),
             (lambda s: s.integers(0, 50, 9), lambda g: g.integers(0, 50, size=9)),
             (lambda s: s.permutation(20), lambda g: g.permutation(20)),
-            (lambda s: s.choice_without_replacement(32, 4), lambda g: g.choice(32, 4, replace=False)),
             (lambda s: s.categorical(probs), lambda g: (g.uniform(0.0, 1.0, 6)[:, None] > cdf).sum(axis=1)),
         ]
         streams = [RngStream(11, "a"), RngStream(11).substream("b").substream("c")]
@@ -103,7 +111,7 @@ class TestRngStream:
             fresh = np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
             got, want = draw(stream), reference(fresh)
             assert got.dtype == want.dtype and np.array_equal(got, want), i
-        assert [s.counter for s in streams] == [6, 6]
+        assert [s.counter for s in streams] == [8, 8]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,30 @@ class TestTruncNormalInit:
         a = trunc_normal_init((7, 3), 0.5, 9, RngStream(42, "w"))
         b = trunc_normal_init((7, 3), 0.5, 9, RngStream(42, "w"))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "shape, seed, draws", [((40, 30), 57, 5), ((2, 3, 64), 0, 3), ((5,), 0, 1)]
+    )
+    def test_redraws_only_out_of_range_entries(self, shape, seed, draws):
+        """One float32 draw for the tensor, then one per round for the entries
+        still beyond 2 sigma, in flat order: checked against fresh Philox keys."""
+        stream = RngStream(seed, "w")
+
+        def fresh(counter, size):
+            key = hashlib.sha256(f"{seed}|w|{counter}".encode()).digest()
+            g = np.random.Generator(np.random.Philox(key=int.from_bytes(key[:16], "little")))
+            return g.standard_normal(size, dtype=np.float32)
+
+        z = fresh(0, math.prod(shape))
+        rounds = 0
+        while (bad := np.flatnonzero(np.abs(z) > 2.0)).size:
+            rounds += 1
+            z[bad] = fresh(rounds, bad.size)
+        sigma = math.sqrt(0.1 / 16)
+        got = trunc_normal_init(shape, 0.1, 16, stream)
+        assert stream.counter == 1 + rounds == draws
+        assert got.dtype == np.float32
+        assert got.tobytes() == (z.reshape(shape) * np.float32(sigma)).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ def test_loss_gradient_matches_finite_differences(tied):
         vocab=8, seq_len=6, batch_tokens=12, d_model=8, d_ff=8, num_layers=2, num_heads=2,
         init_scale=1.0, tie_embeddings=tied,
     )
-    model = build_model(config, RouterConfig(num_experts=2), RngStream(11).substream("init"))
+    model = build_model(config, RouterConfig(num_experts=2), RngStream(12).substream("init"))
     batch = _tiny_batch(config)
     assert np.bincount(batch.input_ids.ravel()).max() > 1
 
@@ -91,6 +91,39 @@ def test_masked_cross_entropy_gradient_is_softmax_minus_one_hot():
         assert np.array_equal(d_logits, expected)
         log_probs = np.log(probs.astype(np.float64))
         assert ce == pytest.approx(-log_probs[np.arange(n), batch.target_ids].mean(), rel=1e-6)
+
+
+@pytest.mark.parametrize("seq_len, mask_rate", [(16, 0.15), (32, 0.15), (5, 0.5), (3, 0.1)])
+def test_masked_batch_masks_n_distinct_positions_per_row(seq_len, mask_rate):
+    config = TrainConfig(
+        vocab=32, seq_len=seq_len, batch_tokens=8 * seq_len, corpus_size=64,
+        mask_rate=mask_rate, seed=5,
+    )
+    corpus = gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
+        RngStream(config.seed).substream("corpus"),
+    )
+    n_mask = max(1, int(mask_rate * seq_len))
+    seqs = corpus.sequences[:8]
+    batch = trainer._masked_batch(seqs, config, RngStream(3).substream("mask"))
+    assert np.array_equal(batch.target_rows, np.repeat(np.arange(8), n_mask))
+    cols = batch.target_cols.reshape(8, n_mask)
+    assert (np.diff(cols, axis=1) > 0).all() and cols.min() >= 0 and cols.max() < seq_len
+    masked = np.zeros(seqs.shape, bool)
+    masked[batch.target_rows, batch.target_cols] = True
+    assert np.array_equal(batch.input_ids == config.sentinel_id, masked)
+    assert np.array_equal(batch.input_ids[~masked], seqs[~masked])
+    assert np.array_equal(batch.target_ids, seqs[batch.target_rows, batch.target_cols])
+    assert seqs.min() >= 0 and config.sentinel_id not in seqs  # the sentinel marks masks only
+
+    # (seed, step) alone fixes a batch: not call order, not other steps' draws.
+    first = {step: batch_for_step(corpus, step, config) for step in (2, 0, 1)}
+    for step in (0, 1, 2):
+        again = batch_for_step(corpus, step, config)
+        for field in dataclasses.fields(Batch):
+            assert np.array_equal(getattr(again, field.name), getattr(first[step], field.name))
+    reseeded = batch_for_step(corpus, 0, dataclasses.replace(config, seed=6))
+    assert not np.array_equal(reseeded.input_ids, first[0].input_ids)
 
 
 def _model_and_batches(tied):
