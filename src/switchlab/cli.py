@@ -143,6 +143,11 @@ def _parse_value(raw: str, typ: type):
         raise InvalidArgumentError(f"cannot parse {raw!r} as {typ.__name__}") from exc
 
 
+def _reason(exc: Exception) -> str:
+    """Why a file could not be read, without the path the message adds."""
+    return getattr(exc, "strerror", None) or str(exc)
+
+
 def parse_config(
     path: str | None = None, overrides: list[str] | None = None
 ) -> ExperimentConfig:
@@ -165,9 +170,13 @@ def parse_config(
         entries[key.strip()] = value
 
     if path is not None:
-        with open(path) as fh:
-            for i, line in enumerate(fh, 1):
-                consume(line, f"{path}:{i}")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidArgumentError(f"cannot read config {path}: {_reason(exc)}") from exc
+        for i, line in enumerate(lines, 1):
+            consume(line, f"{path}:{i}")
     for item in overrides or []:
         consume(item, "--set")
 
@@ -316,8 +325,11 @@ def load_checkpoint(path: str) -> Checkpoint:
     holds the retired line ``router.jitter_on_logits=False``, which
     ``restore_model`` drops; any other value of that key is an unknown key.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read checkpoint {path}: {_reason(exc)}") from exc
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CorruptCheckpointError("missing checkpoint magic at byte offset 0")
     pos = len(CHECKPOINT_MAGIC)
@@ -454,14 +466,13 @@ def write_metrics_csv(rows: list[MetricRow], path: str) -> None:
 def run_experiment(config: ExperimentConfig, resume: str | None = None) -> int:
     """Train per config, then write metrics.csv, final.ckpt, and (with a mesh
     configured) comm_report.csv into the run's output directory."""
-    outdir = os.path.join(config.outdir, config.name)
-    os.makedirs(outdir, exist_ok=True)
-
     model = opt = None
     start_step = 0
     if resume is not None:
         model, opt, _ = restore_model(load_checkpoint(resume))
         start_step = opt.step
+    outdir = os.path.join(config.outdir, config.name)
+    os.makedirs(outdir, exist_ok=True)
     model, opt, rows = train(
         config.train, config.router, model=model, opt_state=opt, start_step=start_step
     )

@@ -12,8 +12,9 @@ query projection is expert-routed.
 Capacity decides which tokens each expert keeps, but the experts multiply
 only the kept rows. The paper pads every expert to its capacity because
 accelerator tensors must be statically sized; here the kept rows are sorted
-by expert and each expert runs its own contiguous slice (``_Slots``), with
-the bits of the padded products at the capacities the tests pin.
+by expert and each expert runs its own contiguous slice (``_Slots``). Where
+the tests pin them, the results have the bits of the padded products, and
+everywhere they agree with those products within float32 round-off.
 
 Every layer is a ``*_fwd``/``*_bwd`` pair: ``*_fwd`` returns the output and a
 cache, and ``*_bwd`` consumes the cache. ``switch_ffn`` is the switch FFN's
@@ -39,7 +40,6 @@ from .router import (
 from .tensor_core import (
     InvalidArgumentError,
     RngStream,
-    dropout_scale,
     init_weight,
     inverted_dropout,
     quantize_bf16,
@@ -170,7 +170,7 @@ def init_attention_weights(
 class _DenseRows:
     """Every row meets the one 2-D weight: the dense FFN's products.
 
-    ``_Slots`` has the same three methods for expert-sorted rows.
+    ``_Slots`` has the same two methods for expert-sorted rows.
     """
 
     @staticmethod
@@ -180,8 +180,6 @@ class _DenseRows:
     @staticmethod
     def weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a.T @ b
-
-    dropout = staticmethod(inverted_dropout)
 
 
 @dataclass
@@ -210,12 +208,13 @@ def _ffn_fwd(
 
     The weights are one 2-D matrix each, or [E, ., .] stacks applied to
     expert-sorted rows, each expert's slice with its own weights, when
-    ``rows`` is their ``_Slots``.
+    ``rows`` is their ``_Slots``. Either way dropout draws one mask over the
+    rows that run, [T, d_ff] or [K, d_ff].
     """
     h = rows.matmul(x, w_in)
     if w_out is None:
         return h, DenseFfnCache(x, w_in, None, None, None, None)
-    activated, drop_scale = rows.dropout(relu(h), dropout, rng, mode)
+    activated, drop_scale = inverted_dropout(relu(h), dropout, rng, mode)
     return rows.matmul(activated, w_out), DenseFfnCache(x, w_in, w_out, h, activated, drop_scale)
 
 
@@ -271,13 +270,9 @@ class _Slots:
     """A routed layer's kept entries, sorted by expert, then group, then slot.
 
     Entry i sends input row ``token[i]`` to expert ``expert[i]``, and the
-    expert's output for it is scaled by ``gate[i]``. ``key[i]`` is the
-    entry's slot in the padded slot grid read expert-major,
-    ``(e·G + g)·C + c`` for slot c of expert e in group g, and the keys
-    ascend. Expert e's entries are the slice ``bounds[e]:bounds[e + 1]``; a
-    grouped plan's slices span every group, since the groups share the
-    expert weights. ``grid`` is the padded layout's shape, (E, C), or
-    (G, E, C) for grouped tokens.
+    expert's output for it is scaled by ``gate[i]``. Expert e's entries are
+    the slice ``bounds[e]:bounds[e + 1]``; a grouped plan's slices span
+    every group, since the groups share the expert weights.
 
     Only kept tokens with a nonzero gate hold a slot. With selective
     precision the gate is bfloat16-quantized first, so a kept token whose
@@ -286,36 +281,24 @@ class _Slots:
     entries, ``rank[i]`` naming the rank; the ranks fill one capacity
     budget, so no slot repeats, and each rank lists a token at most once.
 
-    Each expert runs its 2-D products on its own slice. The tests pin the
-    bits of the zero-padded [C, d] products at the capacities they use, 1
-    to 40 (d_model 16 or 64), and at C = 160, switch_lm's layer shape
-    (OpenBLAS 0.3.31). There the slices keep these rules:
-    - a product against a C-contiguous right operand gives a row the same
-      bits at every row count of two or more. Against a transposed view, a
-      row's bits move below 9-37 rows, with the shape. So every product runs
-      against C-contiguous 2-D weights, the backward's against one
-      contiguous copy of each transposed weight stack per call;
-    - a one-row product takes the GEMV path and rounds otherwise, so a
-      one-row slice runs as two rows, the second zero. At C = 1 every padded
-      product had one row, so there each entry runs alone;
-    - a weight gradient ``a[lo:hi].T @ b[lo:hi]`` equals the zero-padded
-      C-row product at every slice length, one included;
-    - dropout draws its mask over the padded grid and takes the entries'
-      rows, so the random stream is the padded layout's.
-
-    Outside the pinned shapes the first and third rules do not always hold.
-    Of 600 random layers checked against the padded form, 16 with C between
-    460 and 1374 differed in the ``w_in``/``w_out`` gradients, by up to
-    1.4e-4, and one at C = 196 with d_ff 256 differed in its output.
+    Each expert runs its 2-D products on its own slice, and expert dropout
+    draws one [K, d_ff] mask over the entries in this order. The padded
+    [E, C, d] products of the one-hot form differ from the slices only in
+    rounding:
+    - where the oracle tests pin them, the bits are equal: at the tests'
+      toy shapes (C up to 40, d_model 16 and 64) and at C = 160,
+      switch_lm's layer shape (OpenBLAS 0.3.31);
+    - everywhere else every output and gradient agrees within 1e-6 of the
+      largest magnitude among them, which a property test checks on random
+      layers. At C = 1 with d_model 64, and in some layers with C in the
+      hundreds, the bits differ.
     """
 
     token: np.ndarray  # [K] int
     expert: np.ndarray  # [K] int
     gate: np.ndarray  # [K] float
     rank: np.ndarray  # [K] int
-    key: np.ndarray  # [K] int, ascending
     bounds: list[int]  # [E + 1]
-    grid: tuple[int, ...]  # (E, C) or (G, E, C)
     num_tokens: int
     num_ranks: int
 
@@ -339,30 +322,36 @@ class _Slots:
         groups, experts, capacity = plan.num_groups, plan.num_experts, plan.capacity
         group = token // (plan.num_tokens // groups)
         # One counting pass over the expert-major slot grid, where every
-        # slot holds at most one entry.
+        # slot holds at most one entry: slot c of expert e in group g has
+        # key (e·G + g)·C + c, and the entries follow the ascending keys.
         entry = np.full(experts * groups * capacity, -1)
         entry[(expert * groups + group) * capacity + slot] = np.arange(token.size)
         key = np.flatnonzero(entry >= 0)
         order = entry[key]
         return cls(
-            token[order], expert[order], gate[order], rank[order], key,
+            token[order], expert[order], gate[order], rank[order],
             np.searchsorted(key, np.arange(experts + 1) * groups * capacity).tolist(),
-            (experts, capacity) if groups == 1 else (groups, experts, capacity),
             plan.num_tokens, len(plans),
         )
 
     def matmul(self, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Each expert's slice of the [K, .] rows times its 2-D weight in ``w``;
-        the stack is copied once if those weights are not C-contiguous."""
+        """Each expert's slice of the [K, .] rows times its 2-D weight in ``w``."""
+        # The backward pass's transposed stacks are copied once per call:
+        # the products run faster against C-contiguous weights. At
+        # switch_lm's backward shape, 8 slices of about 115 rows, they took
+        # 172 us against 210 us on the transposed view (one BLAS thread,
+        # 2-vCPU Xeon, OpenBLAS 0.3.31).
         if not w[0].flags.c_contiguous:
             w = np.ascontiguousarray(w)
         out = np.empty((a.shape[0], w.shape[-1]), dtype=np.result_type(a, w))
-        capacity = self.grid[-1]
         for e, (lo, hi) in enumerate(zip(self.bounds, self.bounds[1:])):
-            if capacity == 1:
-                for i in range(lo, hi):
-                    np.matmul(a[i:i + 1], w[e], out=out[i:i + 1])
-            elif hi - lo == 1:
+            if hi - lo == 1:
+                # A one-row product takes another BLAS path, which rounds
+                # otherwise. Run as two rows, the second zero, a row gets the
+                # bits it has in a larger slice, so a one-column mesh, whose
+                # slices span its groups, matches the per-row layer bit for
+                # bit. Without the pad, capacity-1 rows at d_model 64
+                # differed by 4.8e-7.
                 out[lo] = (np.concatenate((a[lo:hi], np.zeros_like(a[lo:hi]))) @ w[e])[0]
             elif hi > lo:
                 np.matmul(a[lo:hi], w[e], out=out[lo:hi])
@@ -375,17 +364,6 @@ class _Slots:
         for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             np.matmul(a[lo:hi].T, b[lo:hi], out=out[e])
         return out
-
-    def dropout(
-        self, x: np.ndarray, rate: float, rng: RngStream | None, mode: str
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Inverted dropout on [K, d] rows, with the mask drawn over the padded grid."""
-        keep = dropout_scale(self.grid + x.shape[1:], x.dtype, rate, rng, mode)
-        if keep is None:
-            return x, None
-        # Read the mask expert-major, as the keys are.
-        keep = np.moveaxis(keep, -3, 0).reshape(-1, x.shape[1]).take(self.key, axis=0)
-        return x * keep, keep
 
     def scatter(self, rows: np.ndarray) -> np.ndarray:
         """The entries' [K, d] rows onto their tokens' [T, d] rows; zero elsewhere.
@@ -426,11 +404,11 @@ def _expert_slices_fwd(
     """Gather the kept rows, run each expert on its slice, scatter gate-scaled outputs.
 
     The gather and scatter move rows by index, so the cost is linear in the
-    token count, and the experts multiply the K kept rows only. At the
-    capacities ``_Slots`` names, each row's bits are those of the padded
-    [E, C, d] products, which keeps the one-hot einsum form's arithmetic, a
-    single-expert layer bit-identical to the dense baseline, and each group
-    bit-identical to that group run alone.
+    token count, and the experts multiply the K kept rows only. The rows
+    agree with the padded [E, C, d] products of the one-hot einsum form as
+    ``_Slots`` states. Where the tests check it, a single-expert layer is
+    bit-identical to the dense baseline, and each group of a grouped plan
+    to that group run alone.
     """
     expert_out, ffn = _ffn_fwd(
         x.take(slots.token, axis=0), w_in, w_out, expert_dropout, rng, mode, slots
@@ -526,7 +504,7 @@ def _routed_ffn_fwd(
 
     # Tokens whose every assignment overflowed bypass the layer through the
     # residual path.
-    all_dropped = plan0.dropped if k == 1 else np.logical_and.reduce([p.dropped for p in plans])
+    all_dropped = np.logical_and.reduce([p.dropped for p in plans])
     y[all_dropped] = x[all_dropped]
 
     out = LayerOutput(y, stats.aux_loss, stats, float(all_dropped.mean()))

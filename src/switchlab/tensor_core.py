@@ -47,7 +47,6 @@ __all__ = [
     "quantize_bf16",
     "relu",
     "relu_backward",
-    "dropout_scale",
     "inverted_dropout",
     "GradReport",
     "grad_check",
@@ -162,10 +161,8 @@ class RngStream:
         high: float = 1.0,
         dtype=np.float64,
     ) -> np.ndarray:
-        """Uniform on [low, high). float64 keeps ``Generator.uniform``'s
-        stream; float32 scales one ``Generator.random`` draw in place."""
-        if np.dtype(dtype) == np.float64:
-            return self._generator().uniform(low, high, shape)
+        """Uniform on [low, high): one ``Generator.random`` draw, scaled in
+        place. In float64 these are ``Generator.uniform``'s bits."""
         u = self._generator().random(shape, dtype=dtype)
         if (low, high) != (0.0, 1.0):
             u *= high - low
@@ -180,7 +177,7 @@ class RngStream:
 
     def categorical(self, probs: np.ndarray) -> np.ndarray:
         """Sample one index per row of a [rows, k] probability matrix."""
-        u = self._generator().uniform(0.0, 1.0, probs.shape[0])
+        u = self.uniform(probs.shape[0])
         cdf = np.cumsum(probs.astype(np.float64), axis=1)
         cdf[:, -1] = 1.0  # guard against round-off shortfall
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
@@ -317,25 +314,19 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_out * (np.asarray(x) > 0)
 
 
-def dropout_scale(
-    shape: tuple[int, ...], dtype, rate: float, rng: RngStream | None, mode: str
-) -> np.ndarray | None:
-    """Inverted dropout's keep-scale of ``shape`` (0 or 1 / (1 - rate)); None when inert."""
+def inverted_dropout(
+    x: np.ndarray, rate: float, rng: RngStream | None, mode: str
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Inverted dropout; returns (output, keep-scale), the scale 0 or
+    1 / (1 - rate) per element, or None when inert."""
     if mode != "train" or rate == 0.0:
-        return None
+        return x, None
     if not 0.0 <= rate < 1.0:
         raise InvalidArgumentError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None:
         raise InvalidArgumentError("dropout in train mode requires an rng")
-    return (rng.uniform(shape, dtype=np.float32) >= rate).astype(dtype) / (1.0 - rate)
-
-
-def inverted_dropout(
-    x: np.ndarray, rate: float, rng: RngStream | None, mode: str
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverted dropout; returns (output, keep-scale) with scale None when inert."""
-    keep = dropout_scale(x.shape, x.dtype, rate, rng, mode)
-    return (x, None) if keep is None else (x * keep, keep)
+    keep = (rng.uniform(x.shape, dtype=np.float32) >= rate).astype(x.dtype) / (1.0 - rate)
+    return x * keep, keep
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,9 @@ def test_gradient_suite(name, monkeypatch):
                 "plan", out[0].expert_index.tobytes(), out[0].position_in_expert.tobytes()
             ))
         # The slot map covers every top-k rank, not only the routed rank 0.
+        # Its entries run in slot order, so a moved slot reorders them.
         record(switch_layer, "_expert_slices_fwd", lambda args, out: (
-            "slots", args[1].token.tobytes(), args[1].key.tobytes()
+            "slots", args[1].token.tobytes(), args[1].expert.tobytes(), args[1].rank.tobytes()
         ))
 
     def guarded_grad_check(f, params, h=PROBE_STEP, **kwargs):
@@ -555,3 +556,46 @@ def test_sweep_writes_one_run_per_value(tmp_path, capsys):
         "router.policy=argmax", "router.policy=input_jitter",
         "run.name=run_policy_argmax", "run.name=run_policy_input_jitter",
     }
+
+
+def _unreadable(tmp_path, kind):
+    """A path that names no readable input: missing, a directory, or not UTF-8."""
+    if kind == "missing":
+        return tmp_path / "absent"
+    if kind == "directory":
+        (tmp_path / "adir").mkdir()
+        return tmp_path / "adir"
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("run.name=caf\xe9\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+@pytest.mark.parametrize(
+    "command",
+    [["train", "--seed", "0"], ["sweep", "--param", "router.alpha", "--values", "0.1"],
+     ["distill"], ["parallel-check"]],
+    ids=["train", "sweep", "distill", "parallel-check"],
+)
+def test_unreadable_config_exits_2_naming_the_path(tmp_path, command, kind, capsys):
+    path = _unreadable(tmp_path, kind)
+    with pytest.raises(InvalidArgumentError):
+        cli.parse_config(str(path))
+    out = tmp_path / "out"
+    assert cli.main(command + ["--outdir", str(out), "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_resume_exits_2_naming_the_path(tmp_path, kind, capsys):
+    path = _unreadable(tmp_path, kind)
+    with pytest.raises(InvalidArgumentError):
+        cli.load_checkpoint(str(path))
+    out = tmp_path / "out"
+    argv = ["train", "--seed", "0", "--outdir", str(out), "--resume", str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and err.count("\n") == 1
+    assert not out.exists()
