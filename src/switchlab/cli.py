@@ -72,9 +72,9 @@ CHECKPOINT_MAGIC = b"SWCHKPT"
 CHECKPOINT_VERSION = 1
 _HEADER_KEYS = {"step", "config", "tensors"}
 _RECORD_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
-# A retired key at the one value that leaves behaviour unchanged; older
-# builds wrote this line into every checkpoint's config text.
-_RETIRED_CONFIG_LINE = "router.jitter_on_logits=False"
+# Retired keys at the one value that leaves behaviour unchanged; older
+# builds wrote these lines into every checkpoint's config text.
+_RETIRED_CONFIG_LINES = {"router.jitter_on_logits=False", "train.tie_embeddings=False"}
 
 
 class UnsupportedVersionError(RuntimeError):
@@ -322,8 +322,9 @@ def load_checkpoint(path: str) -> Checkpoint:
 
     Files written by older builds also carry a header ``"rng"`` field and a
     per-record ``"precision_tag"``; both are ignored. Their config text also
-    holds the retired line ``router.jitter_on_logits=False``, which
-    ``restore_model`` drops; any other value of that key is an unknown key.
+    holds the retired lines ``router.jitter_on_logits=False`` and
+    ``train.tie_embeddings=False``, which ``restore_model`` drops; any other
+    value of either key is an unknown key.
     """
     try:
         with open(path, "rb") as fh:
@@ -405,7 +406,7 @@ def restore_model(ckpt: Checkpoint) -> tuple[ToyModel, AdamState, ExperimentConf
     """
     config = parse_config(overrides=[
         ln for ln in ckpt.config_text.splitlines()
-        if ln.strip() and ln.strip() != _RETIRED_CONFIG_LINE
+        if ln.strip() and ln.strip() not in _RETIRED_CONFIG_LINES
     ])
     model = build_model(config.train, config.router, None)
     params = named_parameters(model)
@@ -559,7 +560,7 @@ def _gradient_checks():
         def f(p):
             sp = SwitchLayerParams(p[1], p[2], p[3])
             out, cache = switch_ffn_fwd(p[0], sp, cfg, RngStream(0), "eval")
-            loss = float((out.y**2).sum() + out.aux_loss)
+            loss = float((out.y**2).sum() + out.stats.aux_loss)
             g = switch_ffn_bwd(2.0 * out.y, cache)
             return loss, [g["x"], g["w_router"], g["w_in"], g["w_out"]]
 
@@ -575,7 +576,7 @@ def _gradient_checks():
         def f(p):
             sp = SwitchLayerParams(p[1], p[2], p[3])
             out, cache = moe_topk_ffn_fwd(p[0], sp, 2, cfg, RngStream(0), "eval")
-            loss = float((out.y**2).sum() + out.aux_loss)
+            loss = float((out.y**2).sum() + out.stats.aux_loss)
             g = moe_topk_ffn_bwd(2.0 * out.y, cache)
             return loss, [g["x"], g["w_router"], g["w_in"], g["w_out"]]
 
@@ -611,7 +612,7 @@ def _gradient_checks():
             weights = AttentionWeights(p[1], p[2], p[3], None if routed_q else p[4])
             qp = SwitchLayerParams(p[4], p[5], None) if routed_q else None
             out, cache = attention_fwd(p[0], weights, acfg, RngStream(0), "eval", q_params=qp)
-            loss = float((out.y**2).sum() + out.aux_loss)
+            loss = float((out.y**2).sum() + out.stats.aux_loss)
             g = attention_bwd(2.0 * out.y, cache)
             return loss, [g[name] for name in ["x", "w_k", "w_v", "w_o", *q_names]]
 

@@ -200,7 +200,7 @@ def run_sharded_switch_layer(
         records.append(CommRecord("all_reduce", (num_tokens // n) * d_model, FLOAT32_BYTES))
 
     dropped = float(plan.dropped.reshape(n, -1).mean(axis=1).mean())
-    return LayerOutput(y, stats.aux_loss, stats, dropped), records
+    return LayerOutput(y, stats, dropped), records
 
 
 # ---------------------------------------------------------------------------

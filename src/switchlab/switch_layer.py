@@ -97,7 +97,6 @@ class LayerOutput:
     """Layer result plus the routing byproducts the trainer aggregates."""
 
     y: np.ndarray
-    aux_loss: float
     stats: LoadBalanceStats
     dropped_fraction: float
 
@@ -507,7 +506,7 @@ def _routed_ffn_fwd(
     all_dropped = np.logical_and.reduce([p.dropped for p in plans])
     y[all_dropped] = x[all_dropped]
 
-    out = LayerOutput(y, stats.aux_loss, stats, float(all_dropped.mean()))
+    out = LayerOutput(y, stats, float(all_dropped.mean()))
     cache = MoeCache(
         plans, stats, experts, all_dropped, np.asarray(params.w_router), router_config.alpha
     )
@@ -657,7 +656,6 @@ def attention_fwd(
         if weights.w_q is None:
             raise InvalidArgumentError("dense attention requires w_q")
         q = x @ weights.w_q
-        aux = 0.0
         stats = LoadBalanceStats(np.ones(1), np.ones(1), 0.0)
         dropped_fraction = 0.0
     else:
@@ -668,7 +666,6 @@ def attention_fwd(
             flat, q_params, config.router, rng.substream("q_route"), mode
         )
         q = q_out.y.reshape(b, l, d)
-        aux = q_out.aux_loss
         stats = q_out.stats
         dropped_fraction = q_out.dropped_fraction
 
@@ -683,7 +680,7 @@ def attention_fwd(
     ctx = _merge_heads(attn @ vh)
     y = ctx @ weights.w_o
 
-    out = LayerOutput(y, aux, stats, dropped_fraction)
+    out = LayerOutput(y, stats, dropped_fraction)
     cache = AttentionCache(x, weights, config, q_cache, q, k, v, attn, ctx)
     return out, cache
 

@@ -107,7 +107,6 @@ class TrainConfig:
     init_scale: float = 0.1
     dropout_rate: float | None = None  # None = mode default
     expert_dropout_rate: float | None = None  # None = mode default
-    tie_embeddings: bool = False
     # synthetic data
     num_clusters: int = 4
     corpus_size: int = 512
@@ -199,7 +198,6 @@ class MetricRow:
 @dataclass
 class SyntheticCorpus:
     sequences: np.ndarray  # [size, seq_len] int64
-    cluster_ids: np.ndarray  # [size]
     transitions: list[np.ndarray]  # per-cluster bigram tables over its range
     token_ranges: list[tuple[int, int]]  # half-open [lo, hi) per cluster
 
@@ -235,16 +233,16 @@ def gen_synthetic_corpus(
         logits = CORPUS_SHARPNESS * rng.substream(f"cluster{k}/table").normal((width, width))
         transitions.append(softmax(logits, axis=-1))
 
-    sequences, cluster_ids = _walk_chains(transitions, ranges, seq_len, size, rng)
-    return SyntheticCorpus(sequences, cluster_ids, transitions, ranges)
+    sequences, _ = _walk_chains(transitions, ranges, seq_len, size, rng)
+    return SyntheticCorpus(sequences, transitions, ranges)
 
 
 def sample_sequences(corpus: SyntheticCorpus, size: int, rng: RngStream) -> SyntheticCorpus:
     """Fresh sequences from an existing corpus's cluster processes (held-out data)."""
-    sequences, cluster_ids = _walk_chains(
+    sequences, _ = _walk_chains(
         corpus.transitions, corpus.token_ranges, corpus.sequences.shape[1], size, rng
     )
-    return SyntheticCorpus(sequences, cluster_ids, corpus.transitions, corpus.token_ranges)
+    return SyntheticCorpus(sequences, corpus.transitions, corpus.token_ranges)
 
 
 def _walk_chains(
@@ -343,7 +341,7 @@ class ToyModel:
     router_config: RouterConfig
     embedding: np.ndarray  # [V, d]
     blocks: list[BlockParams]
-    out_proj: np.ndarray | None  # [d, V]; None when tied to the embedding
+    out_proj: np.ndarray  # [d, V]
 
 
 def _is_expert_position(i: int, config: TrainConfig) -> bool:
@@ -393,9 +391,7 @@ def build_model(
             w_out = init_weight((dff, d), scale, dff, rng, f"block{i}/ffn.w_out")
         blocks.append(BlockParams(attn_weights, q_switch, kind, w_in, w_out, ffn_switch))
 
-    out_proj = None
-    if not config.tie_embeddings:
-        out_proj = init_weight((d, v), scale, d, rng, "out_proj")
+    out_proj = init_weight((d, v), scale, d, rng, "out_proj")
     return ToyModel(config, router_config, embedding, blocks, out_proj)
 
 
@@ -422,8 +418,7 @@ def named_parameters(model: ToyModel) -> dict[str, np.ndarray]:
             params[f"{p}.ffn.w_router"] = blk.ffn_switch.w_router
             params[f"{p}.ffn.w_in"] = blk.ffn_switch.w_in
             params[f"{p}.ffn.w_out"] = blk.ffn_switch.w_out
-    if model.out_proj is not None:
-        params["out_proj"] = model.out_proj
+    params["out_proj"] = model.out_proj
     return params
 
 
@@ -489,7 +484,7 @@ def model_fwd(
             h, blk.attn_weights, attn_config, rng.substream(f"block{i}.attn"),
             mode, q_params=blk.attn_q_switch,
         )
-        aux_total += attn_out.aux_loss
+        aux_total += attn_out.stats.aux_loss
         if blk.attn_q_switch is not None:
             dropped.append(attn_out.dropped_fraction)
             fractions.append(attn_out.stats.f)
@@ -515,7 +510,7 @@ def model_fwd(
                     flat, blk.ffn_switch, 2, model.router_config, ffn_rng, mode
                 )
             y = out.y
-            aux_total += out.aux_loss
+            aux_total += out.stats.aux_loss
             dropped.append(out.dropped_fraction)
             fractions.append(out.stats.f)
         h = h + y.reshape(s, l, d)
@@ -525,13 +520,7 @@ def model_fwd(
 
     targets = batch.target_rows * l + batch.target_cols
     target_hidden = h.reshape(s * l, d)[targets]
-    # BLAS rounds each row of a product alike for any row count >= 2 only when
-    # the weight operand is C-contiguous; a transposed view can round a short
-    # product differently. The same holds for the head's transpose in model_bwd.
-    if model.out_proj is not None:
-        logits = target_hidden @ model.out_proj
-    else:
-        logits = target_hidden @ np.ascontiguousarray(model.embedding.T)
+    logits = target_hidden @ model.out_proj
 
     cache = None
     if keep_cache:
@@ -556,14 +545,12 @@ def model_bwd(model: ToyModel, cache: ModelCache, d_logits: np.ndarray) -> dict[
     config = model.config
     s, l = cache.input_ids.shape
     d = config.d_model
-    grads: dict[str, np.ndarray] = {}
-
+    grads = {"out_proj": cache.target_hidden.T @ d_logits}
     dh = np.zeros((s * l, d), dtype=d_logits.dtype)
-    if model.out_proj is not None:
-        grads["out_proj"] = cache.target_hidden.T @ d_logits
-        dh[cache.targets] = d_logits @ np.ascontiguousarray(model.out_proj.T)
-    else:
-        dh[cache.targets] = d_logits @ model.embedding
+    # BLAS rounds each row of a product alike for any row count >= 2 only when
+    # the weight operand is C-contiguous; the transposed view could round a
+    # short product differently.
+    dh[cache.targets] = d_logits @ np.ascontiguousarray(model.out_proj.T)
     dh = dh.reshape(s, l, d)
 
     def add_layer(prefix: str, layer_grads: dict[str, np.ndarray]) -> np.ndarray:
@@ -587,12 +574,10 @@ def model_bwd(model: ToyModel, cache: ModelCache, d_logits: np.ndarray) -> dict[
     # Scatter-add each position's gradient onto its token's embedding row as
     # one flat float64 bincount over (token id, feature) cells, which sums
     # each cell's contributions in input order; the sum is cast to the
-    # embedding's dtype once, after the tied output term.
+    # embedding's dtype once.
     v = model.embedding.shape[0]
     cells = (cache.input_ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
     d_emb = np.bincount(cells, weights=dh.reshape(-1), minlength=v * d).reshape(v, d)
-    if model.out_proj is None:
-        d_emb += d_logits.T @ cache.target_hidden  # logits = h @ E^T
     grads["embedding"] = d_emb.astype(model.embedding.dtype)
     return grads
 
@@ -618,11 +603,14 @@ def neg_log_perplexity(logits: np.ndarray, target_ids: np.ndarray) -> float:
     ids = np.asarray(target_ids).reshape(-1)
     if ids.size == 0:
         raise InvalidArgumentError("neg_log_perplexity requires at least one target")
-    flat = logits.reshape(ids.size, logits.shape[-1])
-    shifted = flat - flat.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    logp = shifted[np.arange(ids.size), ids] - logz
-    return float(logp.mean())
+    logp = _log_softmax(logits.reshape(ids.size, logits.shape[-1]))
+    return float(logp[np.arange(ids.size), ids].mean())
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-probabilities of ``[n, V]`` logits, shifted by each row's max."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +665,15 @@ def adam_update(
 # ---------------------------------------------------------------------------
 
 
+def _seeded_corpus(config: TrainConfig, size: int) -> SyntheticCorpus:
+    """The run's corpus, drawn from the seed's "corpus" substream; size 0
+    builds only its cluster processes."""
+    return gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, size,
+        RngStream(config.seed).substream("corpus"),
+    )
+
+
 def _step_rng(config: TrainConfig, step: int) -> RngStream:
     return RngStream(config.seed).substream(f"step{step}/model")
 
@@ -708,14 +705,10 @@ def train(
     start_step: int = 0,
 ) -> tuple[ToyModel, AdamState, list[MetricRow]]:
     """Run (or resume) a seeded training loop; returns the metric stream."""
-    root = RngStream(config.seed)
     if corpus is None:
-        corpus = gen_synthetic_corpus(
-            config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
-            root.substream("corpus"),
-        )
+        corpus = _seeded_corpus(config, config.corpus_size)
     if model is None:
-        model = build_model(config, router_config, root.substream("init"))
+        model = build_model(config, router_config, RngStream(config.seed).substream("init"))
     if opt_state is None:
         opt_state = AdamState(step=start_step)
     rows = []
@@ -741,10 +734,7 @@ def evaluate(
     """
     root = RngStream(config.seed)
     if corpus is None:
-        corpus = gen_synthetic_corpus(
-            config.vocab, config.num_clusters, config.seq_len, 0,
-            root.substream("corpus"),
-        )
+        corpus = _seeded_corpus(config, 0)
     heldout = sample_sequences(corpus, num_sequences, root.substream("eval_sequences"))
     batch = _masked_batch(heldout.sequences, config, root.substream("eval_mask"))
     fwd = model_fwd(model, batch, root.substream("eval_model"), training=False, keep_cache=False)
@@ -782,9 +772,7 @@ def _distill_loss_and_grad(
     flat_s = student_logits.reshape(n, student_logits.shape[-1])
     flat_t = teacher_logits.reshape(n, teacher_logits.shape[-1])
 
-    shifted = flat_s - flat_s.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
+    logp = _log_softmax(flat_s)
     q = softmax(flat_t, axis=-1)
     target = (1 - hard_weight) * q
     target[np.arange(n), ids] += hard_weight
@@ -836,13 +824,11 @@ def distill_train(
     its non-expert weights start from the teacher.
     """
     student_config = replace(config, ffn_kind="dense", attention_kind="dense", mode="distill")
-    root = RngStream(config.seed)
     if corpus is None:
-        corpus = gen_synthetic_corpus(
-            config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
-            root.substream("corpus"),
-        )
-    student = build_model(student_config, router_config, root.substream("student_init"))
+        corpus = _seeded_corpus(config, config.corpus_size)
+    student = build_model(
+        student_config, router_config, RngStream(config.seed).substream("student_init")
+    )
     student = init_student_from_teacher(teacher, student)
 
     opt_state = AdamState()

@@ -147,7 +147,7 @@ def compute() -> dict[str, dict]:
             x, params, mesh, switch_router, RngStream(SEED)
         )
         entries[f"mesh/{strategy}"] = _entry(
-            [out.y.tobytes()], [_norm(out.y), out.aux_loss, out.dropped_fraction]
+            [out.y.tobytes()], [_norm(out.y), out.stats.aux_loss, out.dropped_fraction]
         )
     return entries
 

@@ -483,6 +483,7 @@ def test_train_command_rejects_a_sentinel_the_corpus_can_emit(tmp_path, capsys):
     [
         "train.seq_len=0", "train.batch_tokens=0", "train.corpus_size=0", "train.num_heads=0",
         "train.learning_rate=nan", "router.jitter_on_logits=true",
+        "train.tie_embeddings=true",
     ],
 )
 def test_train_command_rejects_bad_setting(tmp_path, setting, capsys):
@@ -513,21 +514,35 @@ def test_train_command_rejects_non_finite_router_setting(tmp_path, setting, caps
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("value, status", [("False", 0), ("True", 2)])
+@pytest.mark.parametrize(
+    "key, before, value, status",
+    [
+        pytest.param("router.jitter_on_logits", "router.ntlb_stages", "False", 0, id="False-0"),
+        pytest.param("router.jitter_on_logits", "router.ntlb_stages", "True", 2, id="True-2"),
+        pytest.param(
+            "train.tie_embeddings", "train.num_clusters", "False", 0,
+            id="tie_embeddings-False-0",
+        ),
+        pytest.param(
+            "train.tie_embeddings", "train.num_clusters", "True", 2,
+            id="tie_embeddings-True-2",
+        ),
+    ],
+)
 def test_resume_drops_only_the_retired_jitter_on_logits_false_line(
-    tmp_path, value, status, capsys
+    tmp_path, key, before, value, status, capsys
 ):
-    # Older builds wrote the key, which no longer exists, into every
-    # checkpoint's config text, between jitter_eps and ntlb_stages.
+    # Older builds wrote each retired key, which no longer exists, into every
+    # checkpoint's config text, just before the key ``before``.
     path = _saved_checkpoint(tmp_path)
 
     def edit(header):
         header["config"] = header["config"].replace(
-            "router.ntlb_stages=", f"router.jitter_on_logits={value}\nrouter.ntlb_stages="
+            f"{before}=", f"{key}={value}\n{before}="
         )
 
     _edit_header(path, edit)
-    assert f"router.jitter_on_logits={value}\n" in cli.load_checkpoint(str(path)).config_text
+    assert f"\n{key}={value}\n{before}=" in cli.load_checkpoint(str(path)).config_text
     out = tmp_path / "out"
     argv = ["train", "--seed", "0", "--outdir", str(out), "--set", "train.steps=1",
             "--resume", str(path)]
@@ -536,7 +551,7 @@ def test_resume_drops_only_the_retired_jitter_on_logits_false_line(
         assert (out / "run" / "final.ckpt").is_file()
     else:
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "jitter_on_logits" in err
+        assert err.startswith("error:") and key in err
 
 
 def test_sweep_writes_one_run_per_value(tmp_path, capsys):

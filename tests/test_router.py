@@ -335,7 +335,7 @@ class TestLoadBalanceLoss:
             sp = SwitchLayerParams(p[1], params.w_in, params.w_out)
             out, cache = switch_ffn_fwd(p[0], sp, cfg, RngStream(0), "eval")
             g = switch_ffn_bwd(np.zeros_like(out.y), cache)
-            return out.aux_loss, [g["x"], g["w_router"]]
+            return out.stats.aux_loss, [g["x"], g["w_router"]]
 
         assert grad_check(f, [x, params.w_router]).max_rel_err < 1e-4
 

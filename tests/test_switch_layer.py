@@ -407,7 +407,7 @@ class TestEquivalences:
         moe, moe_cache = moe_topk_ffn_fwd(x, params, 1, cfg, rng_moe, mode)
         switch, switch_cache = switch_ffn_fwd(x, params, cfg, rng_switch, mode)
         assert np.array_equal(moe.y, switch.y)
-        assert moe.aux_loss == switch.aux_loss
+        assert moe.stats.aux_loss == switch.stats.aux_loss
         assert moe.dropped_fraction == switch.dropped_fraction
         assert rng_moe == rng_switch
         # A float64 upstream gradient on float32 weights: every gradient,

@@ -42,26 +42,29 @@ def _tiny_batch(config: TrainConfig) -> Batch:
     return Batch(inputs, rows, cols, seqs[rows, cols])
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-def test_loss_gradient_matches_finite_differences(tied):
+# The model has one output head, the untied [d, V] ``out_proj``; the
+# parametrization keeps these tests' ids.
+UNTIED = pytest.mark.parametrize("head", ["untied"])
+
+
+@UNTIED
+def test_loss_gradient_matches_finite_differences(head):
     config = TrainConfig(
         vocab=8, seq_len=6, batch_tokens=12, d_model=8, d_ff=8, num_layers=2, num_heads=2,
-        init_scale=1.0, tie_embeddings=tied,
+        init_scale=1.0,
     )
     model = build_model(config, RouterConfig(num_experts=2), RngStream(12).substream("init"))
     batch = _tiny_batch(config)
     assert np.bincount(batch.input_ids.ravel()).max() > 1
 
     def f(p):
-        model.embedding = p[0]
-        if not tied:
-            model.out_proj = p[1]
+        model.embedding, model.out_proj = p
         fwd = model_fwd(model, batch, RngStream(0), training=False)
         ce, d_logits = masked_cross_entropy(fwd.logits, batch)
         grads = model_bwd(model, fwd.cache, d_logits)
-        return ce, [grads["embedding"]] + ([] if tied else [grads["out_proj"]])
+        return ce, [grads["embedding"], grads["out_proj"]]
 
-    params = [model.embedding] + ([] if tied else [model.out_proj])
+    params = [model.embedding, model.out_proj]
     base = model_fwd(model, batch, RngStream(0), training=False)
     # Finite differences are only meaningful away from the relu kinks.
     margin = min(np.abs(c.pre_relu).min() for c in base.cache.ffn_caches)
@@ -126,13 +129,13 @@ def test_masked_batch_masks_n_distinct_positions_per_row(seq_len, mask_rate):
     assert not np.array_equal(reseeded.input_ids, first[0].input_ids)
 
 
-def _model_and_batches(tied):
+def _model_and_batches():
     """A model with a dense and a switch block, a batch, and the same inputs with
     every position a target: on it ``model_fwd`` projects the whole final hidden
     state and ``model_bwd`` runs the full-vocabulary head."""
     config = TrainConfig(
         vocab=32, seq_len=16, batch_tokens=128, corpus_size=64, d_model=16, d_ff=24,
-        num_heads=2, ffn_kind="switch", tie_embeddings=tied, seed=5,
+        num_heads=2, ffn_kind="switch", seed=5,
     )
     corpus = gen_synthetic_corpus(
         config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
@@ -146,21 +149,19 @@ def _model_and_batches(tied):
     return model, batch, every
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-def test_model_fwd_logits_are_target_rows_of_full_projection(tied):
-    model, batch, every = _model_and_batches(tied)
+@UNTIED
+def test_model_fwd_logits_are_target_rows_of_full_projection(head):
+    model, batch, every = _model_and_batches()
     hidden = model_fwd(model, every, RngStream(3)).cache.target_hidden  # [S*L, d]
-    full = (hidden @ (model.embedding.T if tied else model.out_proj)).reshape(
-        batch.input_ids.shape + (-1,)
-    )
+    full = (hidden @ model.out_proj).reshape(batch.input_ids.shape + (-1,))
     logits = model_fwd(model, batch, RngStream(3)).logits
     assert logits.dtype == full.dtype
     assert np.array_equal(logits, full[batch.target_rows, batch.target_cols])
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-def test_model_bwd_matches_full_logits_reference(tied):
-    model, batch, every = _model_and_batches(tied)
+@UNTIED
+def test_model_bwd_matches_full_logits_reference(head):
+    model, batch, every = _model_and_batches()
     fwd = model_fwd(model, batch, RngStream(3))
     _, d_logits = masked_cross_entropy(fwd.logits, batch)
     grads = model_bwd(model, fwd.cache, d_logits)
@@ -170,12 +171,11 @@ def test_model_bwd_matches_full_logits_reference(tied):
     d_full[batch.target_rows, batch.target_cols] = d_logits
     reference = model_bwd(model, full.cache, d_full.reshape(-1, d_logits.shape[1]))
 
-    head = "embedding" if tied else "out_proj"
     assert grads.keys() == reference.keys()
     for name, want in reference.items():
         got = grads[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
-        if name == head:
+        if name == "out_proj":
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
         else:
             assert np.array_equal(got, want), name
@@ -354,15 +354,14 @@ def test_evaluate_peak_memory_stays_flat_in_depth():
     [
         dict(ffn_kind="switch"),
         dict(ffn_kind="moe2", attention_kind="switch"),
-        dict(ffn_kind="switch", tie_embeddings=True),
     ],
-    ids=["switch", "moe2_switch_attention", "switch_tied"],
+    ids=["switch", "moe2_switch_attention"],
 )
 def test_student_init_copies_every_non_expert_tensor(teacher_settings):
     config = TrainConfig(num_layers=4, expert_every=2, seed=3, **teacher_settings)
     router_config = RouterConfig(num_experts=4)
     teacher = build_model(config, router_config, RngStream(3).substream("teacher"))
-    # The student distill_train builds: all-dense, with the teacher's tying.
+    # The student distill_train builds: all-dense.
     student = build_model(
         dataclasses.replace(config, ffn_kind="dense", attention_kind="dense"), router_config,
         RngStream(3).substream("student"),
@@ -372,7 +371,6 @@ def test_student_init_copies_every_non_expert_tensor(teacher_settings):
     assert not np.array_equal(before["embedding"], taught["embedding"])
     routed_q = config.attention_kind == "switch"
     assert any(".attn.q." in name for name in taught) == routed_q
-    assert ("out_proj" in before) == ("out_proj" in taught) == (not config.tie_embeddings)
 
     got = named_parameters(trainer.init_student_from_teacher(teacher, student))
     # The student keeps its own FFNs at the teacher's expert blocks, and its
