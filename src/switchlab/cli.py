@@ -73,8 +73,14 @@ CHECKPOINT_VERSION = 1
 _HEADER_KEYS = {"step", "config", "tensors"}
 _RECORD_KEYS = {"name", "shape", "dtype", "offset", "nbytes"}
 # Retired keys at the one value that leaves behaviour unchanged; older
-# builds wrote these lines into every checkpoint's config text.
+# builds wrote these lines into every run's config.txt and checkpoint.
 _RETIRED_CONFIG_LINES = {"router.jitter_on_logits=False", "train.tie_embeddings=False"}
+
+
+def _is_retired(line: str) -> bool:
+    """Whether ``line`` is one of ``_RETIRED_CONFIG_LINES``, which config
+    files and checkpoints skip; a ``--set`` of it still fails."""
+    return line.strip() in _RETIRED_CONFIG_LINES
 
 
 class UnsupportedVersionError(RuntimeError):
@@ -153,10 +159,13 @@ def parse_config(
 ) -> ExperimentConfig:
     """Read ``section.key=value`` lines (file first, then overrides).
 
-    Unknown keys fail with the full list of valid ones; field invariants are
-    enforced by the config dataclasses themselves. An empty config yields all
-    defaults (alpha 0.01, capacity factor 1.25, jitter eps 0.01, init scale
-    0.1, mask rate 0.15, fine-tune expert dropout 0.4).
+    A file's retired lines (``_RETIRED_CONFIG_LINES``) are skipped, so the
+    config.txt of an older run still reads. Unknown keys fail with the full
+    list of valid ones, and so does a retired key at any other value or in
+    ``overrides``; field invariants are enforced by the config dataclasses
+    themselves. An empty config yields all defaults (alpha 0.01, capacity
+    factor 1.25, jitter eps 0.01, init scale 0.1, mask rate 0.15, fine-tune
+    expert dropout 0.4).
     """
     entries: dict[str, str] = {}
 
@@ -176,7 +185,8 @@ def parse_config(
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidArgumentError(f"cannot read config {path}: {_reason(exc)}") from exc
         for i, line in enumerate(lines, 1):
-            consume(line, f"{path}:{i}")
+            if not _is_retired(line):
+                consume(line, f"{path}:{i}")
     for item in overrides or []:
         consume(item, "--set")
 
@@ -405,8 +415,7 @@ def restore_model(ckpt: Checkpoint) -> tuple[ToyModel, AdamState, ExperimentConf
     parameter must come from the checkpoint.
     """
     config = parse_config(overrides=[
-        ln for ln in ckpt.config_text.splitlines()
-        if ln.strip() and ln.strip() not in _RETIRED_CONFIG_LINES
+        ln for ln in ckpt.config_text.splitlines() if not _is_retired(ln)
     ])
     model = build_model(config.train, config.router, None)
     params = named_parameters(model)

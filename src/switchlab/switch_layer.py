@@ -183,14 +183,17 @@ class _DenseRows:
 
 @dataclass
 class DenseFfnCache:
-    """Backward state of one FFN body; ``w_out`` None marks a linear map."""
+    """Backward state of one FFN body; ``w_out`` None marks a linear map.
+
+    The relu input is not kept: ``activated`` is positive exactly where it
+    was, so it carries the relu mask as well.
+    """
 
     x: np.ndarray
     w_in: np.ndarray
     w_out: np.ndarray | None
-    pre_relu: np.ndarray | None
-    activated: np.ndarray | None  # post-relu, post-dropout
-    drop_scale: np.ndarray | None
+    activated: np.ndarray | None  # post-relu, post-dropout; None for a linear map
+    drop_scale: np.ndarray | None  # None when dropout is inert
 
 
 def _ffn_fwd(
@@ -212,9 +215,9 @@ def _ffn_fwd(
     """
     h = rows.matmul(x, w_in)
     if w_out is None:
-        return h, DenseFfnCache(x, w_in, None, None, None, None)
+        return h, DenseFfnCache(x, w_in, None, None, None)
     activated, drop_scale = inverted_dropout(relu(h), dropout, rng, mode)
-    return rows.matmul(activated, w_out), DenseFfnCache(x, w_in, w_out, h, activated, drop_scale)
+    return rows.matmul(activated, w_out), DenseFfnCache(x, w_in, w_out, activated, drop_scale)
 
 
 def _ffn_bwd(
@@ -230,7 +233,12 @@ def _ffn_bwd(
         d_act = rows.matmul(grad_y, t(cache.w_out))
         if cache.drop_scale is not None:
             d_act = d_act * cache.drop_scale
-        dh = relu_backward(d_act, cache.pre_relu)
+        # The relu mask is ``activated > 0``: the relu output is positive
+        # exactly where its input is, and dropout keeps it positive (the
+        # scale is at least 1). Where dropout zeroed an entry, d_act is
+        # already +-0, which either mask leaves with the same bits. dh
+        # overwrites d_act, which nothing else holds.
+        dh = relu_backward(d_act, cache.activated, out=d_act)
     return rows.matmul(dh, t(cache.w_in)), rows.weight_grad(cache.x, dh), dw_out
 
 
@@ -425,7 +433,8 @@ def _expert_slices_bwd(
     # einsum reduces over d the way the one-hot d_combine einsum did, which
     # keeps the gate gradient bit-identical to that form.
     d_gate = np.einsum("kd,kd->k", grad_rows, cache.expert_out)
-    d_rows, dw_in, dw_out = _ffn_bwd(grad_rows * slots.gate[:, None], cache.ffn, slots)
+    grad_rows = grad_rows * slots.gate[:, None]  # the unscaled rows are freed here
+    d_rows, dw_in, dw_out = _ffn_bwd(grad_rows, cache.ffn, slots)
     return slots.scatter(d_rows), d_gate, dw_in, dw_out
 
 
@@ -702,26 +711,25 @@ def attention_bwd(grad_y: np.ndarray, cache: AttentionCache) -> dict[str, np.nda
     x_flat, gy = flat(x), flat(grad_y)
 
     dw_o = flat(cache.context).T @ gy
-    d_ctx = (gy @ w.w_o.T).reshape(b, l, d)
+    d_ctx_h = _split_heads((gy @ w.w_o.T).reshape(b, l, d), h)
 
-    d_ctx_h = _split_heads(d_ctx, h)
-    vh = _split_heads(cache.v, h)
-    qh = _split_heads(cache.q, h)
-    kh = _split_heads(cache.k, h)
-
-    d_attn = d_ctx_h @ vh.swapaxes(-1, -2)
-    dvh = cache.attn.swapaxes(-1, -2) @ d_ctx_h
-    d_scores = softmax_backward(d_attn, cache.attn, axis=-1) * scale
-    dqh = d_scores @ kh
-    dkh = d_scores.swapaxes(-1, -2) @ qh
-
-    dq = flat(_merge_heads(dqh))
-    dk = flat(_merge_heads(dkh))
-    dv = flat(_merge_heads(dvh))
-
+    # Each temporary is dropped once its last reader has run, so the
+    # working set holds a few [B*L, d] arrays; the products and sums are
+    # those of the plain expressions, and so are the bits.
+    dv = flat(_merge_heads(cache.attn.swapaxes(-1, -2) @ d_ctx_h))
+    dw_v, dx_v = x_flat.T @ dv, dv @ w.w_v.T
+    del dv
+    d_attn = d_ctx_h @ _split_heads(cache.v, h).swapaxes(-1, -2)
+    del d_ctx_h
+    d_scores = softmax_backward(d_attn, cache.attn, axis=-1)
+    del d_attn
+    d_scores *= scale
+    dq = flat(_merge_heads(d_scores @ _split_heads(cache.k, h)))
+    dk = flat(_merge_heads(d_scores.swapaxes(-1, -2) @ _split_heads(cache.q, h)))
+    del d_scores
     dw_k = x_flat.T @ dk
-    dw_v = x_flat.T @ dv
-    dx = dk @ w.w_k.T + dv @ w.w_v.T
+    dx = dk @ w.w_k.T + dx_v
+    del dk, dx_v
 
     grads: dict[str, np.ndarray] = {"w_k": dw_k, "w_v": dw_v, "w_o": dw_o}
     if cache.q_cache is None:

@@ -274,7 +274,11 @@ def softmax_backward(
 ) -> np.ndarray:
     """Gradient of loss w.r.t. logits given grad w.r.t. softmax output."""
     inner = np.sum(grad_out * softmax_out, axis=axis, keepdims=True)
-    return softmax_out * (grad_out - inner)
+    # In place on the difference, which has the product's dtype: the bits
+    # of softmax_out * (grad_out - inner) without a second temporary.
+    out = grad_out - inner
+    out *= softmax_out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +314,12 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x), 0)
 
 
-def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return grad_out * (np.asarray(x) > 0)
+def relu_backward(
+    grad_out: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """grad_out where x > 0, else +-0; ``out=grad_out`` overwrites it in place
+    with the same bits, since the mask is boolean."""
+    return np.multiply(grad_out, np.asarray(x) > 0, out=out)
 
 
 def inverted_dropout(

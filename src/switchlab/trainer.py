@@ -11,8 +11,11 @@ specialize on.
 
 Backward caches: ``model_fwd`` keeps every block's cache only for a pass
 that ``model_bwd`` will differentiate (``train_step`` and the distilled
-student). Forward-only passes, ``evaluate`` and the distillation teacher,
-keep none, so their peak memory does not grow with depth.
+student), and ``model_bwd`` frees each block's cache as soon as that block's
+gradients are out, so a training step's peak is the forward's caches plus one
+layer's backward working set. Forward-only passes, ``evaluate`` and the
+distillation teacher, keep none, so their peak memory does not grow with
+depth.
 
 Determinism contract: every random draw during a run derives from
 (seed, purpose label, step), never from call order, so two runs with one
@@ -429,11 +432,19 @@ def named_parameters(model: ToyModel) -> dict[str, np.ndarray]:
 
 @dataclass
 class ModelCache:
+    """What ``model_bwd`` needs of one ``model_fwd`` pass: single use.
+
+    ``model_bwd`` consumes it, popping each block's caches off the lists as
+    it reaches that block, so they are freed as the pass goes; a second
+    ``model_bwd`` on the same cache raises ``InvalidArgumentError``.
+    """
+
     input_ids: np.ndarray
-    attn_caches: list
+    attn_caches: list  # one per block, in block order
     ffn_caches: list
     targets: np.ndarray  # [n] flat S*L index of each target, in target order
     target_hidden: np.ndarray  # [n, d] final hidden state at the targets
+    consumed: bool = False  # set by ``model_bwd``
 
 
 @dataclass
@@ -541,7 +552,19 @@ def model_bwd(model: ToyModel, cache: ModelCache, d_logits: np.ndarray) -> dict[
     ``d_logits @ W.T`` is written into a zero [S*L, d] hidden-state gradient
     at the targets; a write is enough because ``Batch`` keeps the target
     positions distinct. Returns grads keyed like ``named_parameters``.
+
+    The pass consumes ``cache``: each block's FFN and attention caches are
+    dropped as soon as that layer's gradients are out, so the peak is the
+    caches not yet reached plus one layer's working set, flat in depth
+    above the forward's own. A cache serves one call; a second raises
+    ``InvalidArgumentError`` before any gradient is formed.
     """
+    if cache.consumed:
+        raise InvalidArgumentError(
+            "model_bwd: this ModelCache was consumed by an earlier model_bwd, "
+            "which frees each block's cache as it goes; run model_fwd again"
+        )
+    cache.consumed = True
     config = model.config
     s, l = cache.input_ids.shape
     d = config.d_model
@@ -559,17 +582,24 @@ def model_bwd(model: ToyModel, cache: ModelCache, d_logits: np.ndarray) -> dict[
         grads.update((prefix + k, g) for k, g in layer_grads.items())
         return dx
 
+    # Blocks run last to first, so block i's caches are the lists' last
+    # entries; each is popped into the call that reads it and freed when
+    # that call returns.
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
         flat_dh = dh.reshape(s * l, d)
         if blk.ffn_kind == "dense":
-            f_grads = dict(zip(("x", "w_in", "w_out"), dense_ffn_bwd(flat_dh, cache.ffn_caches[i])))
+            f_grads = dict(zip(
+                ("x", "w_in", "w_out"), dense_ffn_bwd(flat_dh, cache.ffn_caches.pop())
+            ))
         else:
             bwd = switch_ffn_bwd if blk.ffn_kind == "switch" else moe_topk_ffn_bwd
-            f_grads = bwd(flat_dh, cache.ffn_caches[i])
-        # residual: gradient flows to both paths
-        dh = dh + add_layer(f"block{i}.ffn.", f_grads).reshape(s, l, d)
-        dh = dh + add_layer(f"block{i}.attn.", attention_bwd(dh, cache.attn_caches[i]))
+            f_grads = bwd(flat_dh, cache.ffn_caches.pop())
+        # residual: gradient flows to both paths. The adds run in place on
+        # dh, which no layer's gradient aliases and whose dtype (the logits
+        # gradient's) they share, so the bits are those of dh + dx.
+        dh += add_layer(f"block{i}.ffn.", f_grads).reshape(s, l, d)
+        dh += add_layer(f"block{i}.attn.", attention_bwd(dh, cache.attn_caches.pop()))
 
     # Scatter-add each position's gradient onto its token's embedding row as
     # one flat float64 bincount over (token id, feature) cells, which sums

@@ -17,18 +17,10 @@ from switchlab.tensor_core import InvalidArgumentError, RngStream
 from switchlab.trainer import AdamState, TrainConfig, build_model, named_parameters, train
 
 
-def _occupied_slots(cache):
-    # The experts' cache holds the kept entries' rows only: one per occupied slot.
-    return cache.ffn.pre_relu
-
-
 # Cases that apply a relu: finite differences are only valid away from its
-# kink. Each names the forward to record and the pre-activations it probes.
-RELU_CASES = {
-    "dense_ffn": (cli, "dense_ffn_fwd", lambda cache: cache.pre_relu),
-    "switch_ffn": (switch_layer, "_expert_slices_fwd", _occupied_slots),
-    "moe_top2_ffn": (switch_layer, "_expert_slices_fwd", _occupied_slots),
-}
+# kink. The suite records every input the layers pass to ``relu``; the
+# experts apply it to the kept entries' rows only, one per occupied slot.
+RELU_CASES = {"dense_ffn", "switch_ffn", "moe_top2_ffn"}
 # Cases that route: every probe re-routes, so finite differences are only
 # valid where no probe changes an expert choice or a slot.
 ROUTED_CASES = {
@@ -52,8 +44,7 @@ def test_gradient_suite(name, monkeypatch):
         monkeypatch.setattr(module, attr, recording_fwd)
 
     if name in RELU_CASES:
-        module, attr, pre_activations = RELU_CASES[name]
-        record(module, attr, lambda args, out: ("relu", pre_activations(out[1])))
+        record(switch_layer, "relu", lambda args, out: ("relu", args[0]))
     if name in ROUTED_CASES:
         # The suite imports route when it is built; the layers hold their own.
         for module in (router, switch_layer):
@@ -484,6 +475,8 @@ def test_train_command_rejects_a_sentinel_the_corpus_can_emit(tmp_path, capsys):
         "train.seq_len=0", "train.batch_tokens=0", "train.corpus_size=0", "train.num_heads=0",
         "train.learning_rate=nan", "router.jitter_on_logits=true",
         "train.tie_embeddings=true",
+        # A config file may hold these retired lines; --set may not.
+        "router.jitter_on_logits=False", "train.tie_embeddings=False",
     ],
 )
 def test_train_command_rejects_bad_setting(tmp_path, setting, capsys):
@@ -552,6 +545,41 @@ def test_resume_drops_only_the_retired_jitter_on_logits_false_line(
     else:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize(
+    "lines, status",
+    [
+        pytest.param(["train.tie_embeddings=False", "router.jitter_on_logits=False"], 0,
+                     id="retired-False-lines"),
+        pytest.param(["train.tie_embeddings=True"], 2, id="tie_embeddings-True"),
+        pytest.param(["router.jitter_on_logits=True"], 2, id="jitter_on_logits-True"),
+    ],
+)
+def test_train_reads_an_older_runs_config_file(tmp_path, lines, status, capsys):
+    # A run's config.txt, as older builds wrote it: every key, the retired
+    # ones among them.
+    first = tmp_path / "first"
+    argv = ["train", "--seed", "0", "--outdir", str(first)]
+    for item in DISTILL_TINY:
+        argv += ["--set", item]
+    assert cli.main(argv) == 0
+    text = (first / "run" / "config.txt").read_text()
+    old = tmp_path / "config.txt"
+    old.write_text(text.replace("train.num_clusters=", "\n".join(lines) + "\ntrain.num_clusters="))
+    capsys.readouterr()
+
+    argv = ["train", "--seed", "0", "--config", str(old), "--outdir", str(tmp_path / "again")]
+    assert cli.main(argv) == status
+    if status == 0:
+        # The same run, which writes its config without the retired lines.
+        again = tmp_path / "again"
+        assert (again / "run" / "config.txt").read_text() == text.replace(str(first), str(again))
+        metrics = [d / "run" / "metrics.csv" for d in (first, again)]
+        assert metrics[0].read_bytes() == metrics[1].read_bytes()
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and lines[0].split("=")[0] in err
 
 
 def test_sweep_writes_one_run_per_value(tmp_path, capsys):

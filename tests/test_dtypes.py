@@ -91,7 +91,16 @@ def test_train_step_and_evaluate_stay_float32(
         monkeypatch.setattr(trainer, name, wrapper)
 
     recording("model_fwd", trainer.model_fwd)
-    recording("model_bwd", trainer.model_bwd)
+    model_bwd = trainer.model_bwd
+
+    def checking_bwd(model, cache, d_logits):
+        # model_bwd consumes the cache, so it is checked as model_bwd receives it.
+        assert len(cache.attn_caches) == len(cache.ffn_caches) == config.num_layers
+        bwd_cache_bad.extend(_non_float32(cache, "train.cache"))
+        return model_bwd(model, cache, d_logits)
+
+    bwd_cache_bad = []
+    recording("model_bwd", checking_bwd)
 
     corpus = gen_synthetic_corpus(
         config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
@@ -108,9 +117,10 @@ def test_train_step_and_evaluate_stay_float32(
     assert eval_fwd.cache is None  # evaluate keeps no backward cache
     # An eval-mode forward that keeps its cache, as a differentiated one does.
     cached_eval_fwd = trainer.model_fwd(model, batch, RngStream(config.seed), training=False)
-    bad = _non_float32(eval_fwd.logits, "eval.logits")
+    assert train_fwd.cache.consumed and not train_fwd.cache.ffn_caches
+    bad = bwd_cache_bad + _non_float32(eval_fwd.logits, "eval.logits")
+    bad += _non_float32(cached_eval_fwd.cache, "eval.cache")
     for tag, fwd in (("train", train_fwd), ("eval", cached_eval_fwd)):
-        bad += _non_float32(fwd.cache, f"{tag}.cache")
         bad += _non_float32(fwd.logits, f"{tag}.logits")
     bad += _non_float32(grads, "grads")
     bad += _non_float32((opt_state.m, opt_state.v), "adam")

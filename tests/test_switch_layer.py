@@ -510,7 +510,10 @@ class TestEquivalences:
             kept, ffn = experts.slots.token.size, experts.ffn
             assert 0 < kept <= EXPERTS * capacity
             assert ffn.x.shape == experts.expert_out.shape == (kept, D_MODEL)
-            assert ffn.pre_relu.shape == ffn.activated.shape == ffn.drop_scale.shape == (kept, D_FF)
+            assert ffn.activated.shape == ffn.drop_scale.shape == (kept, D_FF)
+            # The relu mask comes from ``activated``: the relu input is not kept.
+            assert not hasattr(ffn, "pre_relu")
+            assert [a.shape for a in _arrays(ffn)].count((kept, D_FF)) == 2
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("ntlb_stages", [0, 2])

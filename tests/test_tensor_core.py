@@ -309,6 +309,14 @@ class TestPrimitives:
         g = np.array([5.0, 7.0])
         assert np.array_equal(relu_backward(g, x), [0.0, 7.0])
 
+    def test_relu_backward_in_place_keeps_the_bits(self):
+        x = np.array([-1.0, 2.0, 0.0, 3.0], dtype=np.float32)
+        g = np.array([5.0, -7.0, -2.0, -0.0], dtype=np.float32)
+        want = relu_backward(g, x)
+        out = g.copy()
+        assert relu_backward(out, x, out=out) is out
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Gradient checker

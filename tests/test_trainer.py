@@ -48,7 +48,7 @@ UNTIED = pytest.mark.parametrize("head", ["untied"])
 
 
 @UNTIED
-def test_loss_gradient_matches_finite_differences(head):
+def test_loss_gradient_matches_finite_differences(head, monkeypatch):
     config = TrainConfig(
         vocab=8, seq_len=6, batch_tokens=12, d_model=8, d_ff=8, num_layers=2, num_heads=2,
         init_scale=1.0,
@@ -65,9 +65,15 @@ def test_loss_gradient_matches_finite_differences(head):
         return ce, [grads["embedding"], grads["out_proj"]]
 
     params = [model.embedding, model.out_proj]
-    base = model_fwd(model, batch, RngStream(0), training=False)
-    # Finite differences are only meaningful away from the relu kinks.
-    margin = min(np.abs(c.pre_relu).min() for c in base.cache.ffn_caches)
+    # Finite differences are only meaningful away from the relu kinks, so
+    # record the relu inputs of the unprobed forward.
+    relu_inputs = []
+    relu = switch_layer.relu
+    monkeypatch.setattr(switch_layer, "relu", lambda h: relu_inputs.append(h) or relu(h))
+    model_fwd(model, batch, RngStream(0), training=False)
+    monkeypatch.undo()
+    assert len(relu_inputs) == config.num_layers
+    margin = min(np.abs(h).min() for h in relu_inputs)
     assert margin >= 10 * FD_STEP, f"a relu pre-activation sits {margin:.2e} from its kink"
 
     report = grad_check(f, params, h=FD_STEP)
@@ -179,6 +185,23 @@ def test_model_bwd_matches_full_logits_reference(head):
             assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max(), name
         else:
             assert np.array_equal(got, want), name
+
+
+def test_model_bwd_consumes_its_cache():
+    model, batch, _ = _model_and_batches()
+    fwd = model_fwd(model, batch, RngStream(3))
+    _, d_logits = masked_cross_entropy(fwd.logits, batch)
+    grads = model_bwd(model, fwd.cache, d_logits)
+    assert grads.keys() == named_parameters(model).keys()
+    # Each block's caches left the ModelCache as the pass reached them.
+    assert fwd.cache.consumed and fwd.cache.attn_caches == fwd.cache.ffn_caches == []
+    # A second pass has no block caches to read: it raises before forming
+    # any gradient, rather than returning the head's alone.
+    with pytest.raises(InvalidArgumentError, match="consumed by an earlier model_bwd"):
+        model_bwd(model, fwd.cache, d_logits)
+    # A fresh forward gives a fresh cache, and the same gradients.
+    again = model_bwd(model, model_fwd(model, batch, RngStream(3)).cache, d_logits)
+    assert all(np.array_equal(again[k], g) for k, g in grads.items())
 
 
 @pytest.mark.parametrize(
@@ -325,6 +348,16 @@ def test_cache_free_forward_equals_cached_forward(ffn_kind, attention_kind, trai
         assert bare.expert_fractions.tobytes() == cached.expert_fractions.tobytes()
 
 
+def _traced_peak(fn, *args, **kwargs):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _evaluate_peak_bytes(num_layers):
     config = TrainConfig(
         seq_len=16, d_model=32, d_ff=64, num_layers=num_layers, ffn_kind="switch",
@@ -335,18 +368,47 @@ def _evaluate_peak_bytes(num_layers):
         RngStream(config.seed).substream("corpus"),
     )
     model = build_model(config, RouterConfig(num_experts=4), RngStream(8).substream("init"))
-    tracemalloc.start()
-    try:
-        trainer.evaluate(model, config, corpus, num_sequences=64)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return _traced_peak(trainer.evaluate, model, config, corpus, num_sequences=64)
 
 
 def test_evaluate_peak_memory_stays_flat_in_depth():
     # A forward that kept every block's cache would hold twice as many at 4 layers.
     shallow, deep = _evaluate_peak_bytes(2), _evaluate_peak_bytes(4)
     assert deep <= 1.2 * shallow, f"evaluate peak {shallow} B at 2 layers, {deep} B at 4"
+
+
+def _train_step_peaks(ffn_kind, num_layers):
+    """Traced peaks of ``train_step`` and of the caching ``model_fwd`` it runs,
+    on one batch, with Adam's moments already allocated."""
+    config = TrainConfig(
+        seq_len=16, batch_tokens=256, d_model=32, d_ff=64, num_layers=num_layers,
+        ffn_kind=ffn_kind, expert_every=1, corpus_size=64, seed=8,
+    )
+    corpus = gen_synthetic_corpus(
+        config.vocab, config.num_clusters, config.seq_len, config.corpus_size,
+        RngStream(config.seed).substream("corpus"),
+    )
+    model = build_model(config, RouterConfig(num_experts=4), RngStream(8).substream("init"))
+    opt_state = AdamState()
+    trainer.train_step(model, batch_for_step(corpus, 0, config), opt_state, config)
+    batch = batch_for_step(corpus, 1, config)
+    fwd = _traced_peak(model_fwd, model, batch, trainer._step_rng(config, 1), keep_cache=True)
+    return _traced_peak(trainer.train_step, model, batch, opt_state, config), fwd
+
+
+@pytest.mark.parametrize("ffn_kind", ["dense", "switch"])
+def test_train_step_peak_above_forward_stays_flat_in_depth(ffn_kind):
+    # A backward that kept each block's cache until it returned would hold
+    # them all beside the gradients it forms; popping them as it goes leaves
+    # the caches not yet reached plus one layer's working set, so the peak
+    # above the forward's own does not grow with depth.
+    (step2, fwd2), (step8, fwd8) = _train_step_peaks(ffn_kind, 2), _train_step_peaks(ffn_kind, 8)
+    block_cache = (fwd8 - fwd2) / 6  # what the forward keeps per block
+    growth = (step8 - fwd8) - (step2 - fwd2)
+    assert growth <= 0.25 * block_cache, (
+        f"train_step peak above model_fwd's: {step2 - fwd2} B at 2 layers, "
+        f"{step8 - fwd8} B at 8; a block's cache is {block_cache:.0f} B"
+    )
 
 
 @pytest.mark.parametrize(
