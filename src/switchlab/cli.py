@@ -6,8 +6,11 @@ byte-for-byte from the config and seed. Checkpoints are a little-endian
 binary format with a JSON header, format version 1.
 
 Subcommands: ``train``, ``sweep``, ``parallel-check``, ``distill``,
-``comm-report``, ``grad-check``. Flags mirror config keys via repeated
-``--set section.key=value`` overrides.
+``comm-report``, ``grad-check``. Flags mirror config keys: each subcommand
+but ``grad-check`` reads its settings from a ``--config`` file, then from
+repeated ``--set section.key=value`` overrides, then from the shorthands
+``--seed`` (``run.seed``) and ``--outdir`` (``run.outdir``), which
+``comm-report`` lacks. No other flag holds a setting.
 """
 
 from __future__ import annotations
@@ -98,6 +101,8 @@ class CorruptCheckpointError(RuntimeError):
 
 @dataclass
 class ExperimentConfig:
+    """One run's name, seed and output root, with each section's settings."""
+
     name: str = "run"
     seed: int = 0
     outdir: str = "out"
@@ -109,30 +114,33 @@ class ExperimentConfig:
         if self.train is None:
             self.train = TrainConfig(seed=self.seed)
         if self.router is None:
-            self.router = RouterConfig(num_experts=4)
+            self.router = RouterConfig()
+        if self.train.seed != self.seed:
+            raise InvalidArgumentError(
+                f"train.seed={self.train.seed} does not restate run.seed={self.seed}"
+            )
 
 
-_RUN_KEYS = {"run.name": str, "run.seed": int, "run.outdir": str}
-_MESH_KEYS = {"mesh.n": int, "mesh.m": int, "mesh.strategy": str, "mesh.num_experts": int}
+# Each section's keys are the scalar fields of its dataclass, less the
+# restated keys: these hold no value of their own, and a line of one is read
+# only to check it against the key it restates.
+_SECTIONS = {
+    "run": ExperimentConfig, "router": RouterConfig, "train": TrainConfig, "mesh": MeshLayout,
+}
+_RESTATED = {"train.seed": "run.seed", "mesh.num_experts": "router.num_experts"}
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool, "int | None": int,
+          "float | None": float}
 
 
-def _section_keys(prefix: str, cls) -> dict[str, type]:
-    out = {}
-    for f in fields(cls):
-        t = f.type
-        if t in ("int", "float", "str", "bool"):
-            out[f"{prefix}.{f.name}"] = {"int": int, "float": float, "str": str, "bool": bool}[t]
-        elif t in ("int | None", "float | None"):
-            out[f"{prefix}.{f.name}"] = int if t.startswith("int") else float
-    return out
+def _section_fields(section: str) -> list[dataclasses.Field]:
+    return [
+        f for f in fields(_SECTIONS[section])
+        if f.type in _TYPES and f"{section}.{f.name}" not in _RESTATED
+    ]
 
 
 def _valid_keys() -> dict[str, type]:
-    keys = dict(_RUN_KEYS)
-    keys.update(_section_keys("router", RouterConfig))
-    keys.update(_section_keys("train", TrainConfig))
-    keys.update(_MESH_KEYS)
-    return keys
+    return {f"{s}.{f.name}": _TYPES[f.type] for s in _SECTIONS for f in _section_fields(s)}
 
 
 def _parse_value(raw: str, typ: type):
@@ -157,96 +165,85 @@ def _reason(exc: Exception) -> str:
 def parse_config(
     path: str | None = None, overrides: list[str] | None = None
 ) -> ExperimentConfig:
-    """Read ``section.key=value`` lines (file first, then overrides).
+    """Read ``section.key=value`` lines: the file's, then ``overrides``; the
+    last line of a key wins.
 
-    A file's retired lines (``_RETIRED_CONFIG_LINES``) are skipped, so the
-    config.txt of an older run still reads. Unknown keys fail with the full
-    list of valid ones, and so does a retired key at any other value or in
-    ``overrides``; field invariants are enforced by the config dataclasses
-    themselves. An empty config yields all defaults (alpha 0.01, capacity
-    factor 1.25, jitter eps 0.01, init scale 0.1, mask rate 0.15, fine-tune
-    expert dropout 0.4).
+    Each value has one key, a scalar field of the section's dataclass (see
+    ``_SECTIONS``), and keeps its default (``make_mesh``'s for the mesh) when
+    no line sets it; any ``mesh`` key configures a mesh. A restated key
+    (``train.seed``, ``mesh.num_experts``) is accepted only at the value that
+    the key it restates holds once the line's source (the file, or the
+    overrides) is read, and is then dropped: an older run's config.txt, which
+    wrote both, still reads. So do its retired lines, which a file may hold
+    and which are skipped (``_RETIRED_CONFIG_LINES``). Unknown keys fail with
+    the full list of valid ones, and so does a retired key at any other value
+    or in ``overrides``; field invariants are enforced by the config
+    dataclasses themselves.
     """
-    entries: dict[str, str] = {}
-
-    def consume(line: str, where: str) -> None:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            return
-        if "=" not in line:
-            raise InvalidArgumentError(f"{where}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip()] = value
-
+    sources = []
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidArgumentError(f"cannot read config {path}: {_reason(exc)}") from exc
-        for i, line in enumerate(lines, 1):
-            if not _is_retired(line):
-                consume(line, f"{path}:{i}")
-    for item in overrides or []:
-        consume(item, "--set")
+        sources.append([(f"{path}:{i}", ln) for i, ln in enumerate(lines, 1)
+                        if not _is_retired(ln)])
+    sources.append([("--set", item) for item in overrides or []])
 
     valid = _valid_keys()
+    entries: dict[str, str] = {}
+    for source in sources:
+        restated: dict[str, str] = {}
+        for where, line in source:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InvalidArgumentError(f"{where}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            key = key.strip()
+            (restated if key in _RESTATED else entries)[key] = value
+        for key, value in restated.items():
+            owner = _RESTATED[key]
+            section, name = owner.split(".")
+            holds = getattr(_SECTIONS[section], name)  # the dataclass default
+            if owner in entries:
+                holds = _parse_value(entries[owner], valid[owner])
+            said = _parse_value(value, valid[owner])
+            if said != holds:
+                raise InvalidArgumentError(
+                    f"{key}={said} does not restate {owner}={holds}; set {owner} alone"
+                )
+
     unknown = sorted(set(entries) - set(valid))
     if unknown:
         raise InvalidArgumentError(
             f"unknown config keys {unknown}; valid keys: {sorted(valid)}"
         )
+    given: dict[str, dict] = {section: {} for section in _SECTIONS}
+    for key, value in entries.items():
+        section, name = key.split(".", 1)
+        given[section][name] = _parse_value(value, valid[key])
 
-    parsed = {k: _parse_value(v, valid[k]) for k, v in entries.items()}
-
-    name = parsed.get("run.name", "run")
-    seed = parsed.get("run.seed", 0)
-    outdir = parsed.get("run.outdir", "out")
-
-    router_kwargs = {
-        k.split(".", 1)[1]: v for k, v in parsed.items() if k.startswith("router.")
-    }
-    router_kwargs.setdefault("num_experts", 4)
-    router = RouterConfig(**router_kwargs)
-
-    train_kwargs = {
-        k.split(".", 1)[1]: v for k, v in parsed.items() if k.startswith("train.")
-    }
-    train_kwargs.setdefault("seed", seed)
-    train_cfg = TrainConfig(**train_kwargs)
-
-    mesh = None
-    mesh_kwargs = {k.split(".", 1)[1]: v for k, v in parsed.items() if k.startswith("mesh.")}
-    if mesh_kwargs:
-        mesh = make_mesh(
-            mesh_kwargs.get("n", 1),
-            mesh_kwargs.get("m", 1),
-            mesh_kwargs.get("strategy", "data"),
-            mesh_kwargs.get("num_experts"),
-        )
-    return ExperimentConfig(name, seed, outdir, train_cfg, router, mesh)
+    router = RouterConfig(**given["router"])
+    mesh = make_mesh(**given["mesh"], num_experts=router.num_experts) if given["mesh"] else None
+    train_cfg = TrainConfig(seed=given["run"].get("seed", ExperimentConfig.seed), **given["train"])
+    return ExperimentConfig(**given["run"], train=train_cfg, router=router, mesh=mesh)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Emit the flat key=value form; parse_config round-trips it."""
-    lines = [
-        f"run.name={config.name}",
-        f"run.seed={config.seed}",
-        f"run.outdir={config.outdir}",
-    ]
-    for f in fields(RouterConfig):
-        lines.append(f"router.{f.name}={getattr(config.router, f.name)}")
-    for f in fields(TrainConfig):
-        value = getattr(config.train, f.name)
-        if value is None:
+    """Emit every key that holds a value as one flat key=value line;
+    parse_config round-trips it."""
+    lines = []
+    for section in _SECTIONS:
+        part = config if section == "run" else getattr(config, section)
+        if part is None:
             continue
-        lines.append(f"train.{f.name}={value}")
-    if config.mesh is not None:
-        lines.append(f"mesh.n={config.mesh.n}")
-        lines.append(f"mesh.m={config.mesh.m}")
-        lines.append(f"mesh.strategy={config.mesh.strategy}")
-        if config.mesh.num_experts is not None:
-            lines.append(f"mesh.num_experts={config.mesh.num_experts}")
+        for f in _section_fields(section):
+            value = getattr(part, f.name)
+            if value is not None:
+                lines.append(f"{section}.{f.name}={value}")
     return "\n".join(lines) + "\n"
 
 
@@ -475,7 +472,9 @@ def write_metrics_csv(rows: list[MetricRow], path: str) -> None:
 
 def run_experiment(config: ExperimentConfig, resume: str | None = None) -> int:
     """Train per config, then write metrics.csv, final.ckpt, and (with a mesh
-    configured) comm_report.csv into the run's output directory."""
+    configured) comm_report.csv into the run's output directory. The mesh is
+    checked before anything is written."""
+    report = None if config.mesh is None else _comm_report(config)
     model = opt = None
     start_step = 0
     if resume is not None:
@@ -491,15 +490,17 @@ def run_experiment(config: ExperimentConfig, resume: str | None = None) -> int:
     with open(os.path.join(outdir, "config.txt"), "w") as fh:
         fh.write(serialize_config(config))
 
-    if config.mesh is not None:
-        comm_report_to_csv(_comm_report(config), os.path.join(outdir, "comm_report.csv"))
+    if report is not None:
+        comm_report_to_csv(report, os.path.join(outdir, "comm_report.csv"))
     return 0
 
 
 def _comm_report(config: ExperimentConfig) -> list[parallel_sim.CommCostRow]:
-    """The analytical comm report of ``config.mesh``, with capacity budgeted
-    per data-parallel row as each row routes its own tokens."""
+    """The analytical comm report of ``config.mesh``, which must be able to
+    shard the configured switch layer, with capacity budgeted per
+    data-parallel row as each row routes its own tokens."""
     tc, rc = config.train, config.router
+    parallel_sim.check_layout(config.mesh, tc.batch_tokens, tc.d_ff, rc.num_experts)
     capacity = expert_capacity(tc.batch_tokens // config.mesh.n, rc.num_experts, rc.capacity_factor)
     return comm_cost_report(
         config.mesh, tc.batch_tokens, tc.d_model, tc.d_ff, rc.num_experts, capacity,
@@ -654,13 +655,22 @@ def _gradient_checks():
 # ---------------------------------------------------------------------------
 
 
-def _load_config(args) -> ExperimentConfig:
-    cfg = parse_config(args.config, args.set)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.train = dataclasses.replace(cfg.train, seed=args.seed)
-    if getattr(args, "outdir", None):
-        cfg.outdir = args.outdir
+def _load_config(args, *last: str) -> ExperimentConfig:
+    """The settings of ``args``: its config file, then each ``--set``, then
+    the ``--seed``/``--outdir`` shorthands, then the lines ``last``."""
+    shorthands = [
+        f"run.{key}={value}" for key in ("seed", "outdir")
+        if (value := getattr(args, key, None)) is not None
+    ]
+    return parse_config(args.config, args.set + shorthands + list(last))
+
+
+def _mesh_config(args) -> ExperimentConfig:
+    """``_load_config(args)``; with no mesh configured, the mesh of expert
+    parallelism, one expert per data-parallel row."""
+    cfg = _load_config(args)
+    if cfg.mesh is None:
+        cfg.mesh = make_mesh(cfg.router.num_experts, 1, "expert+data", cfg.router.num_experts)
     return cfg
 
 
@@ -671,13 +681,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _load_config(args)
-    values = args.values.split(",")
-    for value in values:
-        cfg = parse_config(args.config, (args.set or []) + [f"{args.param}={value}"])
-        cfg.seed = base.seed
-        cfg.train = dataclasses.replace(cfg.train, seed=base.seed)
-        cfg.outdir = base.outdir
-        cfg.name = f"{base.name}_{args.param.split('.')[-1]}_{value}"
+    key, values = args.param.split(".")[-1], args.values.split(",")
+    # Every variant is read before the first one runs.
+    configs = [
+        _load_config(args, f"{args.param}={v}", f"run.name={base.name}_{key}_{v}") for v in values
+    ]
+    for value, cfg in zip(values, configs):
         status = run_experiment(cfg)
         if status != 0:
             return status
@@ -689,10 +698,8 @@ def _cmd_parallel_check(args) -> int:
     from .switch_layer import switch_ffn
     from .parallel_sim import run_sharded_switch_layer
 
-    cfg = _load_config(args)
-    if cfg.mesh is None:
-        n = cfg.router.num_experts
-        cfg.mesh = make_mesh(n, 1, "expert+data", n)
+    cfg = _mesh_config(args)
+    report = _comm_report(cfg)
     rng = RngStream(cfg.seed)
     tc = cfg.train
     x = rng.substream("x").normal((tc.batch_tokens, tc.d_model)).astype(np.float32)
@@ -709,9 +716,7 @@ def _cmd_parallel_check(args) -> int:
     diff = float(np.abs(sharded.y - reference).max())
 
     simulated = sorted((r.op, r.bytes) for r in records)
-    predicted = sorted(
-        (r.op, r.bytes_per_core) for r in _comm_report(cfg) if r.comm_pass == "forward"
-    )
+    predicted = sorted((r.op, r.bytes_per_core) for r in report if r.comm_pass == "forward")
     ledger_ok = simulated == predicted
     print(f"max |sharded - reference| = {diff:.3e}")
     print(f"comm ledger matches analytical report: {ledger_ok}")
@@ -742,14 +747,7 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_comm_report(args) -> int:
-    mesh = make_mesh(args.n, args.m, args.strategy, args.experts if "expert" in args.strategy else None)
-    capacity = args.capacity
-    if capacity is None:
-        capacity = expert_capacity(args.batch_tokens // args.n, args.experts, args.capacity_factor)
-    rows = comm_cost_report(
-        mesh, args.batch_tokens, args.d_model, args.d_ff, args.experts, capacity, args.precision
-    )
-    text = comm_report_to_csv(rows, args.out)
+    text = comm_report_to_csv(_comm_report(_mesh_config(args)), args.out)
     if args.out is None:
         sys.stdout.write(text)
     return 0
@@ -771,11 +769,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, require_seed=False):
+    def add_common(p, require_seed=False, shorthands=True):
         p.add_argument("--config", default=None, help="path to key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-        p.add_argument("--seed", type=int, required=require_seed, default=None)
-        p.add_argument("--outdir", default=None)
+        if shorthands:
+            p.add_argument("--seed", type=int, required=require_seed, default=None)
+            p.add_argument("--outdir", default=None)
 
     p_train = sub.add_parser("train", help="run one seeded training experiment")
     add_common(p_train, require_seed=True)
@@ -799,17 +798,8 @@ def main(argv: list[str] | None = None) -> int:
     p_dis.set_defaults(func=_cmd_distill)
 
     p_comm = sub.add_parser("comm-report", help="analytical communication volumes")
-    p_comm.add_argument("--strategy", required=True, choices=parallel_sim.STRATEGIES)
-    p_comm.add_argument("--n", type=int, default=1)
-    p_comm.add_argument("--m", type=int, default=1)
-    p_comm.add_argument("--experts", type=int, default=4)
-    p_comm.add_argument("--capacity", type=int, default=None)
-    p_comm.add_argument("--capacity-factor", type=float, default=1.25)
-    p_comm.add_argument("--batch-tokens", type=int, default=128)
-    p_comm.add_argument("--d-model", type=int, default=32)
-    p_comm.add_argument("--d-ff", type=int, default=64)
-    p_comm.add_argument("--precision", choices=("float32", "bfloat16"), default="float32")
-    p_comm.add_argument("--out", default=None)
+    add_common(p_comm, shorthands=False)
+    p_comm.add_argument("--out", default=None, help="CSV path; stdout without it")
     p_comm.set_defaults(func=_cmd_comm_report)
 
     p_grad = sub.add_parser("grad-check", help="finite-difference checks of every backward pass")

@@ -37,6 +37,7 @@ __all__ = [
     "MeshLayout",
     "CommRecord",
     "make_mesh",
+    "check_layout",
     "run_sharded_switch_layer",
     "comm_cost_report",
     "comm_report_to_csv",
@@ -64,9 +65,9 @@ class MeshLayout:
 
 
 def make_mesh(
-    n: int,
-    m: int,
-    strategy: str,
+    n: int = 1,
+    m: int = 1,
+    strategy: str = "data",
     num_experts: int | None = None,
 ) -> MeshLayout:
     """Validate and build a mesh layout.
@@ -93,6 +94,21 @@ def make_mesh(
                 f"got num_experts={num_experts} with n={n}"
             )
     return MeshLayout(n, m, strategy, num_experts)
+
+
+def check_layout(mesh: MeshLayout, num_tokens: int, d_ff: int, num_experts: int) -> None:
+    """Raise InvalidArgumentError unless ``mesh`` can shard a switch layer of
+    ``num_experts`` experts of width ``d_ff`` over ``num_tokens`` tokens."""
+    if num_tokens % mesh.n != 0:
+        raise InvalidArgumentError(
+            f"token count {num_tokens} not divisible by n={mesh.n} data-parallel ways"
+        )
+    if mesh.expert_sharded and mesh.num_experts != num_experts:
+        raise InvalidArgumentError(
+            f"mesh carries {mesh.num_experts} experts but router has {num_experts}"
+        )
+    if d_ff % mesh.m != 0:
+        raise InvalidArgumentError(f"d_ff {d_ff} not divisible by m={mesh.m} model-parallel ways")
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +176,10 @@ def run_sharded_switch_layer(
         raise InvalidArgumentError(f"expected [tokens, d_model] input, got {x.shape}")
     num_tokens, d_model = x.shape
     n, m = mesh.n, mesh.m
-    if num_tokens % n != 0:
-        raise InvalidArgumentError(
-            f"token count {num_tokens} not divisible by n={n} data-parallel ways"
-        )
-    num_experts = router_config.num_experts
-    if mesh.expert_sharded and mesh.num_experts != num_experts:
-        raise InvalidArgumentError(
-            f"mesh carries {mesh.num_experts} experts but router has {num_experts}"
-        )
     if params.w_out is None:
         raise InvalidArgumentError("sharded execution requires FFN experts")
-    d_ff = params.w_in.shape[2]
-    if d_ff % m != 0:
-        raise InvalidArgumentError(f"d_ff {d_ff} not divisible by m={m} model-parallel ways")
+    num_experts, d_ff = router_config.num_experts, params.w_in.shape[2]
+    check_layout(mesh, num_tokens, d_ff, num_experts)
 
     ff = d_ff // m
     plan, stats = route(

