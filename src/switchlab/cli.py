@@ -10,7 +10,9 @@ Subcommands: ``train``, ``sweep``, ``parallel-check``, ``distill``,
 but ``grad-check`` reads its settings from a ``--config`` file, then from
 repeated ``--set section.key=value`` overrides, then from the shorthands
 ``--seed`` (``run.seed``) and ``--outdir`` (``run.outdir``), which
-``comm-report`` lacks. No other flag holds a setting.
+``comm-report`` lacks. No other flag holds a setting. ``train --resume``
+takes no setting from its checkpoint: the run's config builds the model, and
+the checkpoint's tensors, Adam moments and step fill it.
 """
 
 from __future__ import annotations
@@ -405,15 +407,19 @@ def _check_record(rec, index: int) -> None:
         )
 
 
-def restore_model(ckpt: Checkpoint) -> tuple[ToyModel, AdamState, ExperimentConfig]:
-    """Rebuild model and optimizer from a checkpoint; unknown tensors are fatal.
+def restore_model(
+    ckpt: Checkpoint, config: ExperimentConfig | None = None
+) -> tuple[ToyModel, AdamState, ExperimentConfig]:
+    """Fill a model and optimizer from a checkpoint; unknown tensors are fatal.
 
-    The model starts as an all-zero skeleton, with no random draw, and every
-    parameter must come from the checkpoint.
+    ``config`` builds the model, by default the checkpoint's own, whose text
+    is parsed either way. The model starts as an all-zero skeleton, with no
+    random draw, and every parameter must come from the checkpoint.
     """
-    config = parse_config(overrides=[
+    saved = parse_config(overrides=[
         ln for ln in ckpt.config_text.splitlines() if not _is_retired(ln)
     ])
+    config = saved if config is None else config
     model = build_model(config.train, config.router, None)
     params = named_parameters(model)
     opt = AdamState(step=ckpt.step)
@@ -472,19 +478,17 @@ def write_metrics_csv(rows: list[MetricRow], path: str) -> None:
 
 def run_experiment(config: ExperimentConfig, resume: str | None = None) -> int:
     """Train per config, then write metrics.csv, final.ckpt, and (with a mesh
-    configured) comm_report.csv into the run's output directory. The mesh is
-    checked before anything is written."""
+    configured) comm_report.csv into the run's output directory. ``resume``
+    names a checkpoint whose tensors, Adam moments and step fill the model
+    that ``config`` builds. The mesh and the checkpoint are checked before
+    anything is written."""
     report = None if config.mesh is None else _comm_report(config)
     model = opt = None
-    start_step = 0
     if resume is not None:
-        model, opt, _ = restore_model(load_checkpoint(resume))
-        start_step = opt.step
+        model, opt, _ = restore_model(load_checkpoint(resume), config)
     outdir = os.path.join(config.outdir, config.name)
     os.makedirs(outdir, exist_ok=True)
-    model, opt, rows = train(
-        config.train, config.router, model=model, opt_state=opt, start_step=start_step
-    )
+    model, opt, rows = train(config.train, config.router, model=model, opt_state=opt)
     write_metrics_csv(rows, os.path.join(outdir, "metrics.csv"))
     save_checkpoint(model, opt, config, os.path.join(outdir, "final.ckpt"))
     with open(os.path.join(outdir, "config.txt"), "w") as fh:
@@ -680,13 +684,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = _load_config(args)
     key, values = args.param.split(".")[-1], args.values.split(",")
     # Every variant is read before the first one runs.
-    configs = [
-        _load_config(args, f"{args.param}={v}", f"run.name={base.name}_{key}_{v}") for v in values
-    ]
+    configs = [_load_config(args, f"{args.param}={v}") for v in values]
     for value, cfg in zip(values, configs):
+        cfg.name = f"{cfg.name}_{key}_{value}"
         status = run_experiment(cfg)
         if status != 0:
             return status
@@ -740,7 +742,7 @@ def _cmd_distill(args) -> int:
     write_metrics_csv(student_rows, os.path.join(outdir, "student_metrics.csv"))
 
     teacher_eval = trainer.evaluate(teacher, tc)
-    student_eval = trainer.evaluate(student, dataclasses.replace(tc, ffn_kind="dense"))
+    student_eval = trainer.evaluate(student, student.config)
     print(f"teacher eval cross-entropy: {teacher_eval.cross_entropy:.4f}")
     print(f"distilled student eval cross-entropy: {student_eval.cross_entropy:.4f}")
     return 0
@@ -778,7 +780,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_train = sub.add_parser("train", help="run one seeded training experiment")
     add_common(p_train, require_seed=True)
-    p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
+    p_train.add_argument("--resume", default=None, help="checkpoint to fill this run's model")
     p_train.set_defaults(func=_cmd_train)
 
     p_sweep = sub.add_parser("sweep", help="run one experiment per value of a config key")

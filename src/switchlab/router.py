@@ -18,7 +18,11 @@ Conventions fixed here and relied on by tests:
   - expert slots fill in token order (cumulative-count semantics), and the
     slot budget of expert e in group g is keyed g·E + e,
   - the dispatch-fraction vector f counts pre-capacity intent, not
-    post-drop placement, and is treated as a constant by the gradient.
+    post-drop placement, and is treated as a constant by the gradient,
+  - a token's alternatives (``alternative_experts``) are its experts other
+    than the one it holds, most probable first, ties to the lowest index;
+    NTLB stage k offers a dropped token its k-th, so under sample_softmax the
+    sampled expert is never re-offered and an unsampled top one comes first.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "expert_capacity",
     "apply_policy",
     "route",
+    "alternative_experts",
     "ntlb_reroute",
     "fill_slots",
     "build_dispatch_combine",
@@ -358,11 +363,22 @@ def _balance_stats(
     )
 
 
+def alternative_experts(probs: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Each token's experts other than the one it holds, most probable first.
+
+    Row t of the ``[T, E - 1]`` result ranks row t of the ``[T, E]`` ``probs``
+    without expert ``held[t]``, ties to the lowest index (a stable sort).
+    """
+    order = np.argsort(-probs, axis=1, kind="stable")
+    return order[order != held[:, None]].reshape(held.shape[0], probs.shape[1] - 1)
+
+
 def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
     """Iteratively re-send dropped tokens to their next-best experts.
 
-    Reroute pass k offers each still-dropped token its (k+1)-th
-    highest-probability expert; the token lands there if that expert has
+    Reroute pass k offers each still-dropped token its k-th alternative
+    (``alternative_experts``): under argmax routing, its (k+1)-th
+    highest-probability expert. The token lands there if that expert has
     spare capacity in the token's group, filling in token order. A rerouted
     token's gate becomes its router probability for the expert it actually
     lands on. The dropped count never increases, and the process stops after
@@ -384,10 +400,10 @@ def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
     if not out.dropped.any():
         return out
 
-    # Only tokens dropped now can ever wait, so only their rows are sorted.
-    # Stable descending sort: preference rank r of token first[j] is order[j, r].
+    # Only tokens dropped now can ever wait, so only their rows are sorted:
+    # stage k offers token first[j] its expert rest[j, k - 1].
     first = np.flatnonzero(out.dropped)
-    order = np.argsort(-out.router_probs[first], axis=1, kind="stable")
+    rest = alternative_experts(out.router_probs[first], out.expert_index[first])
     kept = np.flatnonzero(~out.dropped)
     counts = np.bincount(
         out.slot_key(kept, out.expert_index[kept]), minlength=out.num_groups * n
@@ -398,7 +414,7 @@ def ntlb_reroute(plan: DispatchPlan, stages: int) -> DispatchPlan:
         if still.size == 0:
             break
         waiting = first[still]
-        candidate = order[still, k]
+        candidate = rest[still, k - 1]
         position, counts = fill_slots(out.slot_key(waiting, candidate), counts, out.capacity)
         landed = position >= 0
         t, e = waiting[landed], candidate[landed]

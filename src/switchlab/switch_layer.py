@@ -34,6 +34,7 @@ from .router import (
     DispatchPlan,
     LoadBalanceStats,
     RouterConfig,
+    alternative_experts,
     fill_slots,
     route,
 )
@@ -487,11 +488,10 @@ def _routed_ffn_fwd(
 
     plans = [plan0]
     if k > 1:
-        # Remaining ranks take the next-best experts in stable probability
-        # order, skipping the rank-0 choice (which NTLB or sampling may have
-        # moved off the top-probability expert).
-        order = np.argsort(-probs, axis=1, kind="stable")
-        rest = order[order != plan0.expert_index[:, None]].reshape(num_tokens, n - 1)
+        # Remaining ranks take the token's other experts in probability
+        # order: rank 0 is the one it holds, which NTLB or sampling may have
+        # moved off the top-probability expert.
+        rest = alternative_experts(probs, plan0.expert_index)
         # Fill capacity rank-major: all first choices (already budgeted
         # inside route), then second choices into leftover slots, and so on.
         counts = np.bincount(plan0.expert_index[~plan0.dropped], minlength=n)

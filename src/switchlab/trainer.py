@@ -9,13 +9,16 @@ corpus draws each sequence from one of K cluster-specific bigram processes
 over disjoint token ranges, so there is genuine structure for experts to
 specialize on.
 
+One loop and one step: every run, fresh, resumed or distilled, trains
+through ``train`` and ``train_step``; a distilled student's target mixes the
+ground truth with the teacher's probabilities (``hard_weight``).
+
 Backward caches: ``model_fwd`` keeps every block's cache only for a pass
-that ``model_bwd`` will differentiate (``train_step`` and the distilled
-student), and ``model_bwd`` frees each block's cache as soon as that block's
-gradients are out, so a training step's peak is the forward's caches plus one
-layer's backward working set. Forward-only passes, ``evaluate`` and the
-distillation teacher, keep none, so their peak memory does not grow with
-depth.
+that ``model_bwd`` will differentiate (``train_step``'s), and ``model_bwd``
+frees each block's cache as soon as that block's gradients are out, so a
+training step's peak is the forward's caches plus one layer's backward
+working set. Forward-only passes, ``evaluate`` and the distillation teacher,
+keep none, so their peak memory does not grow with depth.
 
 Determinism contract: every random draw during a run derives from
 (seed, purpose label, step), never from call order, so two runs with one
@@ -77,7 +80,7 @@ __all__ = [
 
 FFN_KINDS = ("dense", "switch", "moe2")
 ATTENTION_KINDS = ("dense", "switch")
-MODES = ("pretrain", "finetune", "distill")
+MODES = ("pretrain", "finetune")
 
 # Fine-tuning regularization profile: low dropout outside the experts, much
 # higher inside them.
@@ -158,6 +161,10 @@ class TrainConfig:
             )
         if self.expert_every < 1:
             raise InvalidArgumentError(f"expert_every must be >= 1, got {self.expert_every}")
+        for name in ("dropout_rate", "expert_dropout_rate"):
+            rate = getattr(self, name)
+            if rate is not None and not 0.0 <= rate < 1.0:  # also true for nan
+                raise InvalidArgumentError(f"{name} must be in [0, 1), got {rate}")
         if not 0.0 <= self.hard_weight <= 1.0:
             raise InvalidArgumentError(
                 f"hard_weight must be in [0, 1], got {self.hard_weight}"
@@ -473,7 +480,7 @@ def model_fwd(
     ``keep_cache`` keeps each block's backward cache for ``model_bwd``;
     ``train_step`` needs it, and so does any eval-mode forward that is
     differentiated. Forward-only callers (``evaluate`` and the teacher in
-    ``distill_train``) pass False: each layer's cache is freed as soon as the
+    ``train``) pass False: each layer's cache is freed as soon as the
     layer returns, peak memory stays flat in depth, and ``cache`` is None.
     The outputs are bit-identical either way.
     """
@@ -709,21 +716,29 @@ def _step_rng(config: TrainConfig, step: int) -> RngStream:
 
 
 def train_step(
-    model: ToyModel, batch: Batch, opt_state: AdamState, config: TrainConfig
+    model: ToyModel, batch: Batch, opt_state: AdamState, config: TrainConfig,
+    teacher_logits: np.ndarray | None = None,
 ) -> MetricRow:
-    """One forward/backward/update; mutates model and opt_state in place."""
+    """One forward/backward/update at step ``opt_state.step``, in place: the
+    only training step. Its loss is the masked cross-entropy or, given
+    ``teacher_logits``, the distillation loss at ``config.hard_weight``; the
+    row's ``neg_log_perplexity`` is the model's own either way."""
     step = opt_state.step
-    rng = _step_rng(config, step)
-    fwd = model_fwd(model, batch, rng, training=True)
-    ce, d_logits = masked_cross_entropy(fwd.logits, batch)
-    total = ce + fwd.aux_loss
-    if not np.isfinite(total):
-        raise NumericError(
-            f"non-finite loss at step {step}: ce={ce}, aux={fwd.aux_loss}"
+    fwd = model_fwd(model, batch, _step_rng(config, step), training=True)
+    if teacher_logits is None:
+        loss, d_logits = masked_cross_entropy(fwd.logits, batch)
+        nlp = -loss
+    else:
+        loss, d_logits = _distill_loss_and_grad(
+            fwd.logits, teacher_logits, batch.target_ids, config.hard_weight
         )
+        nlp = neg_log_perplexity(fwd.logits, batch.target_ids)
+    total = loss + fwd.aux_loss
+    if not np.isfinite(total):
+        raise NumericError(f"non-finite loss at step {step}: loss={loss}, aux={fwd.aux_loss}")
     grads = model_bwd(model, fwd.cache, d_logits)
     adam_update(named_parameters(model), grads, opt_state, config.learning_rate)
-    return MetricRow(step, total, ce, fwd.aux_loss, -ce, fwd.dropped_fraction, fwd.expert_fractions)
+    return MetricRow(step, total, loss, fwd.aux_loss, nlp, fwd.dropped_fraction, fwd.expert_fractions)
 
 
 def train(
@@ -732,19 +747,26 @@ def train(
     corpus: SyntheticCorpus | None = None,
     model: ToyModel | None = None,
     opt_state: AdamState | None = None,
-    start_step: int = 0,
+    teacher: ToyModel | None = None,
 ) -> tuple[ToyModel, AdamState, list[MetricRow]]:
-    """Run (or resume) a seeded training loop; returns the metric stream."""
+    """Train from step ``opt_state.step`` to ``config.steps``; returns the
+    metric stream. The one loop of every run: fresh, resumed (from a restored
+    model and optimizer) or distilled (given ``teacher``, whose eval-mode
+    forward scores each batch as a constant target and keeps no cache)."""
     if corpus is None:
         corpus = _seeded_corpus(config, config.corpus_size)
     if model is None:
         model = build_model(config, router_config, RngStream(config.seed).substream("init"))
     if opt_state is None:
-        opt_state = AdamState(step=start_step)
+        opt_state = AdamState()
     rows = []
-    for step in range(start_step, config.steps):
+    for step in range(opt_state.step, config.steps):
         batch = batch_for_step(corpus, step, config)
-        rows.append(train_step(model, batch, opt_state, config))
+        teacher_logits = None if teacher is None else model_fwd(
+            teacher, batch, RngStream(config.seed).substream(f"step{step}/teacher"),
+            training=False, keep_cache=False,
+        ).logits
+        rows.append(train_step(model, batch, opt_state, config, teacher_logits))
     return model, opt_state, rows
 
 
@@ -848,39 +870,13 @@ def distill_train(
 ) -> tuple[ToyModel, AdamState, list[MetricRow]]:
     """Train a dense student against teacher logits mixed with hard targets.
 
-    Teacher logits are computed in eval mode (no exploration noise, no
-    dropout) and treated as constants, so the teacher forward keeps no
-    backward cache; only the student's does. The student is all-dense, and
-    its non-expert weights start from the teacher.
+    The student is all-dense, its non-expert weights start from the teacher,
+    and it trains through ``train`` with ``teacher`` in mode "pretrain": no
+    dropout but the rates ``config`` sets.
     """
-    student_config = replace(config, ffn_kind="dense", attention_kind="dense", mode="distill")
-    if corpus is None:
-        corpus = _seeded_corpus(config, config.corpus_size)
+    student_config = replace(config, ffn_kind="dense", attention_kind="dense", mode="pretrain")
     student = build_model(
         student_config, router_config, RngStream(config.seed).substream("student_init")
     )
     student = init_student_from_teacher(teacher, student)
-
-    opt_state = AdamState()
-    rows = []
-    for step in range(student_config.steps):
-        batch = batch_for_step(corpus, step, student_config)
-        rng = _step_rng(student_config, step)
-        teacher_fwd = model_fwd(
-            teacher, batch, RngStream(config.seed).substream(f"step{step}/teacher"),
-            training=False, keep_cache=False,
-        )
-        fwd = model_fwd(student, batch, rng, training=True)
-        loss, d_logits = _distill_loss_and_grad(
-            fwd.logits, teacher_fwd.logits, batch.target_ids, student_config.hard_weight
-        )
-        total = loss + fwd.aux_loss
-        if not np.isfinite(total):
-            raise NumericError(f"non-finite distillation loss at step {step}")
-        grads = model_bwd(student, fwd.cache, d_logits)
-        adam_update(named_parameters(student), grads, opt_state, student_config.learning_rate)
-        nlp = neg_log_perplexity(fwd.logits, batch.target_ids)
-        rows.append(
-            MetricRow(step, total, loss, fwd.aux_loss, nlp, fwd.dropped_fraction, fwd.expert_fractions)
-        )
-    return student, opt_state, rows
+    return train(student_config, router_config, corpus, student, teacher=teacher)

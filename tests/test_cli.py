@@ -520,6 +520,7 @@ def test_train_command_rejects_a_sentinel_the_corpus_can_emit(tmp_path, capsys):
     [
         "train.seq_len=0", "train.batch_tokens=0", "train.corpus_size=0", "train.num_heads=0",
         "train.learning_rate=nan", "router.jitter_on_logits=true",
+        "train.dropout_rate=1.5", "train.expert_dropout_rate=-0.5",
         "train.tie_embeddings=true",
         # A config file may hold these retired lines; --set may not.
         "router.jitter_on_logits=False", "train.tie_embeddings=False",
@@ -690,6 +691,38 @@ def test_unreadable_resume_exits_2_naming_the_path(tmp_path, kind, capsys):
     assert not out.exists()
 
 
+def _resume(tmp_path, settings):
+    """Train a tiny switch run, then resume from its checkpoint into
+    ``tmp_path / "out"`` with ``settings``; returns the resume's status."""
+    head = tmp_path / "head"
+    base = DISTILL_TINY + ["train.ffn_kind=switch"]
+    assert cli.main(["train", "--seed", "0", "--outdir", str(head), *_settings(base)]) == 0
+    argv = ["train", "--seed", "0", "--outdir", str(tmp_path / "out"),
+            *_settings(base + settings), "--resume", str(head / "run" / "final.ckpt")]
+    return cli.main(argv)
+
+
+def test_resume_exits_2_when_the_checkpoint_does_not_fit_the_config(tmp_path, capsys):
+    assert _resume(tmp_path, ["train.d_model=32"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "does not match model shape" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_resume_routes_at_the_runs_capacity_factor(tmp_path):
+    # The checkpoint's run routed at capacity factor 1.25; the resumed steps
+    # take this run's 0.1: one slot per expert for the batch's 32 tokens.
+    assert _resume(tmp_path, ["train.steps=6", "router.capacity_factor=0.1"]) == 0
+    run = tmp_path / "out" / "run"
+    assert "router.capacity_factor=0.1\n" in (run / "config.txt").read_text()
+    rows = (run / "metrics.csv").read_text().splitlines()[2:]
+    assert [int(r.split(",")[0]) for r in rows] == [3, 4, 5]
+    kept_at_most = 4 * router.expert_capacity(32, 4, 0.1)
+    for row in rows:
+        assert float(row.split(",")[5]) >= 1 - kept_at_most / 32, row
+
+
 @pytest.mark.parametrize(
     "mesh, message",
     [
@@ -737,6 +770,16 @@ def test_sweep_over_run_seed_writes_one_run_per_seed(tmp_path):
     for seed in (1, 2):
         text = (tmp_path / f"run_seed_{seed}" / "config.txt").read_text()
         assert f"run.seed={seed}\n" in text and "train.seed" not in text
+
+
+def test_sweep_reads_only_its_variants(tmp_path):
+    # Without the swept line the settings put four experts on two rows,
+    # which no run reads; the one variant puts two there.
+    settings = DISTILL_TINY + ["mesh.strategy=expert+data", "mesh.n=2"]
+    argv = ["sweep", "--outdir", str(tmp_path), *_settings(settings),
+            "--param", "router.num_experts", "--values", "2"]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "run_num_experts_2" / "comm_report.csv").is_file()
 
 
 @pytest.mark.parametrize(

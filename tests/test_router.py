@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchlab.router import (
+    POLICIES,
     DispatchPlan,
     RouterConfig,
     apply_policy,
@@ -449,6 +450,31 @@ def full_sort_ntlb(plan, stages):
         out.gate[t] = out.router_probs[t, e]
         out.dropped[t] = False
     return out
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_full_ntlb_leaves_no_dropped_token_beside_a_free_slot(policy):
+    # E - 1 stages offer each dropped token every expert it does not hold,
+    # so a token still dropped after them found every expert of its group
+    # full. Under sample_softmax the held expert is the sampled one, which
+    # need not be the most probable.
+    groups, size, experts = 2, 16, 4
+    cfg = RouterConfig(experts, capacity_factor=1.0, policy=policy)
+    dropped = 0
+    for seed in range(40):
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((groups, size, 8)).astype(np.float32)
+        w = gen.standard_normal((8, experts)).astype(np.float32)
+        plan, _ = route(x, w, cfg, RngStream(seed), "train")
+        dropped += plan.dropped.sum()
+        out = ntlb_reroute(plan, experts - 1)
+        kept = np.flatnonzero(~out.dropped)
+        counts = np.bincount(
+            out.slot_key(kept, out.expert_index[kept]), minlength=groups * experts
+        ).reshape(groups, experts)
+        full = (counts == out.capacity).all(axis=1)
+        assert full[np.flatnonzero(out.dropped) // size].all(), f"seed {seed}"
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("groups", [None, 4], ids=["flat", "grouped"])
